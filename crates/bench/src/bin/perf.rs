@@ -122,13 +122,7 @@ fn mesh_traffic(target: u64) -> u64 {
 /// quadratic in the node count, so the widest meshes run fabric-only). A
 /// 16×16 mesh runs the compact wire format, anything wider the wide one —
 /// the builder picks it, the injector follows via `machine.wire_format()`.
-fn large_mesh_low_load(
-    side: usize,
-    cycles: u64,
-    dense: bool,
-    delivery: bool,
-    par: usize,
-) -> Machine {
+fn large_mesh_low_load(side: usize, cycles: u64, dense: bool, delivery: bool) -> Machine {
     let mut b = MachineBuilder::new(side * side)
         .model(Model::ALL_SIX[0])
         .network_fabric(FabricConfig::new(side, side))
@@ -137,7 +131,6 @@ fn large_mesh_low_load(
         b = b.delivery(DeliveryConfig::default());
     }
     let mut machine = b.build();
-    machine.set_par_threads(par);
     let mut config = InjectorConfig::new(
         Pattern::Uniform,
         Topology::new(side, side),
@@ -151,14 +144,13 @@ fn large_mesh_low_load(
 
 /// The topology sensitivity point: the same 256-node machine and uniform
 /// 5‰ open-loop drive as the 16×16 large-mesh point, but on a selectable
-/// switched fabric (mesh / torus / ring). Serial, delivery on.
+/// switched fabric (mesh / torus / ring), delivery on.
 fn topology_low_load(cfg_net: FabricConfig, cycles: u64) -> Machine {
     let mut machine = MachineBuilder::new(256)
         .model(Model::ALL_SIX[0])
         .network_fabric(cfg_net)
         .delivery(DeliveryConfig::default())
         .build();
-    machine.set_par_threads(1);
     let mut config = InjectorConfig::new(
         Pattern::Uniform,
         Topology::new(16, 16),
@@ -252,16 +244,10 @@ fn main() {
         reps,
         || mesh_traffic(mesh_target),
     ));
-    // The large-mesh low-load point, hot-set vs dense vs sharded: wall clock
-    // in the measurement, scan-effort meters in the counters. `dense_cost`
-    // is what a full scan would examine — cycles × (channels + flows) — so
-    // `scanned_channels + scanned_flows` vs `dense_cost` is the win. The
-    // `_parN` points run the identical workload with the cycle sharded
-    // across N workers (`Machine::set_par_threads`); bit-identity guarantees
-    // their counters match the serial hot-set point exactly, so the only
-    // delta is wall clock — compare their `value` against the serial point
-    // to read the speedup, and their `host_threads` metadata for how many
-    // cores the host could actually offer.
+    // The large-mesh low-load point, hot-set vs dense: wall clock in the
+    // measurement, scan-effort meters in the counters. `dense_cost` is what
+    // a full scan would examine — cycles × (channels + flows) — so
+    // `scanned_channels + scanned_flows` vs `dense_cost` is the win.
     // The wide-format points (64×64, 128×128) divide the cycle budget —
     // per-cycle injector work is O(n), so equal budgets would swamp the run.
     // They pin the scaling of the machine loop and mesh fabric past the
@@ -269,56 +255,22 @@ fn main() {
     // the delivery protocol, whose sparse flow store keys state by active
     // (src, dst) pair — the `active_flows`/`peak_flows` counters record the
     // footprint that the retired dense tables would have pinned at 2·n².
-    for (name, side, dense, delivery, par, div) in [
+    for (name, side, dense, delivery, div) in [
         (
             "large_mesh/16x16_uniform5pm_hotset",
             16usize,
             false,
             true,
-            1usize,
             1u64,
         ),
-        ("large_mesh/16x16_uniform5pm_dense", 16, true, true, 1, 1),
-        (
-            "large_mesh/16x16_uniform5pm_hotset_par2",
-            16,
-            false,
-            true,
-            2,
-            1,
-        ),
-        (
-            "large_mesh/16x16_uniform5pm_hotset_par4",
-            16,
-            false,
-            true,
-            4,
-            1,
-        ),
-        ("large_mesh/64x64_uniform5pm_hotset", 64, false, false, 1, 5),
-        (
-            "large_mesh/64x64_uniform5pm_hotset_par4",
-            64,
-            false,
-            false,
-            4,
-            5,
-        ),
-        ("large_mesh/64x64_uniform5pm_e2e", 64, false, true, 1, 5),
-        (
-            "large_mesh/64x64_uniform5pm_e2e_par4",
-            64,
-            false,
-            true,
-            4,
-            5,
-        ),
+        ("large_mesh/16x16_uniform5pm_dense", 16, true, true, 1),
+        ("large_mesh/64x64_uniform5pm_hotset", 64, false, false, 5),
+        ("large_mesh/64x64_uniform5pm_e2e", 64, false, true, 5),
         (
             "large_mesh/128x128_uniform5pm_hotset",
             128,
             false,
             false,
-            1,
             20,
         ),
     ] {
@@ -330,14 +282,13 @@ fn main() {
             point_cycles as f64,
             warmup,
             point_reps,
-            || large_mesh_low_load(side, point_cycles, dense, delivery, par),
+            || large_mesh_low_load(side, point_cycles, dense, delivery),
         );
-        let machine = large_mesh_low_load(side, point_cycles, dense, delivery, par);
+        let machine = large_mesh_low_load(side, point_cycles, dense, delivery);
         let scan = machine.net_stats().scan;
         let n = (side * side) as u64;
         let flows = if delivery { n * n } else { 0 };
         let dense_cost = machine.cycle() * (n * 5 + flows);
-        meas.tcni_threads = par;
         meas.counters = vec![
             ("cycles".into(), machine.cycle()),
             ("scanned_channels".into(), scan.scanned_channels),

@@ -49,9 +49,9 @@ pub struct Measurement {
     /// `std::thread::available_parallelism` reported — the ceiling any
     /// speedup could reach on this host).
     pub host_threads: usize,
-    /// Effective worker count the measured code ran with: the resolved
-    /// `TCNI_THREADS` at measurement time, or the per-machine override for
-    /// points that pin their own count (the `_parN` large-mesh points).
+    /// The resolved `TCNI_THREADS` at measurement time: the `par_map`
+    /// fan-out width. Points that run one machine step it serially
+    /// whatever this reads.
     pub tcni_threads: usize,
 }
 

@@ -15,6 +15,8 @@
 //! Every measurement point (model × timing × workload) is independent, so
 //! the harness fans them out across threads (see [`par`]); set
 //! `TCNI_THREADS=1` or call [`par::set_threads`]`(1)` for the serial path.
+//! `TCNI_THREADS` sets that fan-out width only: each simulated machine
+//! always steps serially on the thread that runs its point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

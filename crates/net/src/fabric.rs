@@ -3,10 +3,10 @@
 //!
 //! Historically this was a hard-coded 2-D mesh (`Mesh2d`); the routing
 //! geometry is now delegated to a [`TopologyKind`], so the same switched
-//! core — including the active-channel frontier, per-link observability,
-//! and the sharded `tick_domains` cycle — serves mesh, torus, ring, and
-//! fully-connected fabrics. For the mesh the channel layout and scan
-//! order are bit-identical to the original: channels are numbered
+//! core — including the active-channel frontier and per-link
+//! observability — serves mesh, torus, ring, and fully-connected fabrics.
+//! For the mesh the channel layout and scan order are bit-identical to the
+//! original: channels are numbered
 //! `node * stride + role` with role 0 = inject, roles `1..=ports` the
 //! topology's ports in order, and role `stride - 1` = eject, which for
 //! the mesh reproduces the historical inject/east/west/north/south/eject
@@ -15,10 +15,8 @@
 use std::collections::VecDeque;
 
 use tcni_core::{Message, NodeId};
-use tcni_util::disjoint::{split_groups, GroupMut, SlotClaims};
-use tcni_util::par::run_tasks;
 
-use crate::stats::{LatencyHist, NetStats};
+use crate::stats::NetStats;
 use crate::topology::{Hop, Topology, TopologyKind};
 use crate::{InjectError, Network};
 
@@ -98,11 +96,9 @@ struct Packet {
     moved_at: u64,
 }
 
-// Channel-layout arithmetic as free functions of the topology, so the
-// parallel tick's workers (which cannot hold `&self` while the channel
-// vector is split) share the exact decision procedure with the serial
-// methods. A node's channels are `node * stride + role` with role 0 =
-// inject, role `1 + p` = topology port `p`, role `stride - 1` = eject.
+// Channel-layout arithmetic as free functions of the topology. A node's
+// channels are `node * stride + role` with role 0 = inject, role `1 + p` =
+// topology port `p`, role `stride - 1` = eject.
 // Frontier slots order the movable roles ports-first, inject-last:
 // `node * move_slots + rank` with rank `p` for port `p` and rank
 // `ports` for inject — for the mesh this is exactly the historical
@@ -157,11 +153,6 @@ fn cap_of_c(config: &FabricConfig, role: usize, stride: usize) -> usize {
 
 fn chan_of(node: usize, role: usize, stride: usize) -> usize {
     node * stride + role
-}
-
-/// The spatial domain (index into `bounds` windows) that owns `node`.
-fn dom_of(bounds: &[usize], node: usize) -> u32 {
-    (bounds.partition_point(|&b| b <= node) - 1) as u32
 }
 
 /// A switched network over a [`TopologyKind`]: deterministic per-hop
@@ -388,538 +379,6 @@ impl Fabric {
         }
         self.note_push(next_idx);
     }
-
-    /// The post-guard body of [`Network::tick`] (`now` already advanced,
-    /// fabric known non-empty), shared by the serial tick and the fallback
-    /// paths of [`tick_domains`](Fabric::tick_domains).
-    fn tick_body(&mut self) {
-        let move_slots = self.config.topo.move_slots();
-        let dense_cost = (self.node_count() * move_slots) as u64;
-        let mut visited: u64 = 0;
-        if self.dense_scan {
-            for slot in 0..self.node_count() * move_slots {
-                self.move_head(slot);
-            }
-            visited = dense_cost;
-        } else {
-            // Iterate set bits in ascending slot order. The word is re-read
-            // after each move with a strictly-above mask: a move can set a
-            // *later* bit in the current word (a packet entering a channel
-            // the dense scan had not reached yet), which must be visited
-            // this cycle exactly as the dense scan would — while moves into
-            // already-passed slots stay unvisited until next cycle, again
-            // exactly like the dense scan.
-            for w in 0..self.active.len() {
-                let mut bits = self.active[w];
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    self.move_head(w * 64 + b as usize);
-                    visited += 1;
-                    bits = self.active[w] & ((!0u64 << b) << 1);
-                }
-            }
-        }
-        self.stats.scan.scanned_channels += visited;
-        self.stats.scan.skipped_work += dense_cost - visited;
-    }
-
-    /// One cycle of the fabric, executed across spatial domains in parallel,
-    /// **bit-identical to [`Network::tick`]** — state, behavioural stats, and
-    /// the [`ScanStats`](crate::ScanStats) effort meters all end up
-    /// byte-equal at any thread count.
-    ///
-    /// `bounds` is an ascending node partition (`bounds[0] == 0`,
-    /// `bounds.last() == node_count()`); domain `d` owns nodes
-    /// `bounds[d]..bounds[d + 1]` and all their channels. The partition is
-    /// topology-agnostic: conflict components are computed over the actual
-    /// channel graph, so wrap links (torus/ring) and long-range links
-    /// (fully-connected) simply produce more boundary components.
-    ///
-    /// # How identity is kept
-    ///
-    /// A serial pre-pass walks the tick-start frontier (every head packet
-    /// still carries `moved_at < now`, so each occupied slot's single
-    /// possible move `src → tgt` is known before anything mutates) and
-    /// unions the touched channels into *conflict components*. Channels in
-    /// different components share no capacity checks, no pops, and no
-    /// pushes this cycle, so components execute independently; each worker
-    /// replays its component's slots in ascending order with the same
-    /// mid-scan re-activation rule as the serial word remask (a move that
-    /// activates a *later* slot queues it for this cycle; earlier slots wait
-    /// for the next one). Components whose channels sit in one domain run
-    /// as that domain's task; components spanning domains form one extra
-    /// "boundary" task — scheduling only, the outcome is order-free because
-    /// components are disjoint. Frontier-bitmap words are shared across
-    /// domains, so workers buffer bit updates and the merge applies all
-    /// clears, then all sets (within one tick a slot can go clear→set but
-    /// never set→clear: a just-moved packet cannot move again).
-    ///
-    /// Falls back to the serial body (identical by definition) when the
-    /// dense-scan cross-check or per-link observability is on, or when
-    /// fewer than two tasks have work.
-    pub fn tick_domains(&mut self, bounds: &[usize], scratch: &mut FabricTickScratch) {
-        self.now += 1;
-        if self.in_flight == 0 {
-            return;
-        }
-        let domains = bounds.len().saturating_sub(1);
-        if self.dense_scan || self.observe || domains < 2 {
-            self.tick_body();
-            return;
-        }
-        debug_assert_eq!(bounds[0], 0);
-        debug_assert_eq!(*bounds.last().expect("non-empty bounds"), self.node_count());
-
-        scratch.prepare(self.chans.len(), domains);
-        let FabricTickScratch {
-            ref mut moves,
-            ref mut parent,
-            ref mut dom_min,
-            ref mut dom_max,
-            ref mut chan_epoch,
-            epoch,
-            ref mut touched,
-            ref mut groups,
-            ref mut worklists,
-            ref mut deltas,
-            ref mut claims,
-        } = *scratch;
-
-        let topo = self.config.topo;
-        let (stride, move_slots, ports) = (topo.stride(), topo.move_slots(), topo.ports());
-
-        // Pre-pass: the single possible move of every initially-active slot.
-        for (w, &word) in self.active.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let slot = w * 64 + b;
-                let node = slot / move_slots;
-                let role = role_of_rank(slot % move_slots, ports);
-                let src = chan_of(node, role, stride);
-                let Some(head) = self.chans[src].front() else {
-                    debug_assert!(false, "frontier bit set on empty channel");
-                    continue;
-                };
-                debug_assert!(head.moved_at < self.now, "head already moved this cycle");
-                let loc = target_c(&topo, node, role);
-                let tgt_role = route_c(&topo, loc, head.msg.dest().index());
-                let tgt = chan_of(loc, tgt_role, stride);
-                moves.push((slot as u32, src as u32, tgt as u32));
-            }
-        }
-
-        // Conflict components over the touched channels.
-        for &(_, src, tgt) in moves.iter() {
-            for c in [src, tgt] {
-                let i = c as usize;
-                if chan_epoch[i] != epoch {
-                    chan_epoch[i] = epoch;
-                    parent[i] = c;
-                    let d = dom_of(bounds, i / stride);
-                    dom_min[i] = d;
-                    dom_max[i] = d;
-                    touched.push(c);
-                }
-            }
-            let (ra, rb) = (uf_find(parent, src), uf_find(parent, tgt));
-            if ra != rb {
-                parent[rb as usize] = ra;
-                dom_min[ra as usize] = dom_min[ra as usize].min(dom_min[rb as usize]);
-                dom_max[ra as usize] = dom_max[ra as usize].max(dom_max[rb as usize]);
-            }
-        }
-
-        // Task assignment: single-domain components → that domain's task;
-        // domain-spanning components → the boundary task (index `domains`).
-        let task_of = |parent: &mut [u32], dom_min: &[u32], dom_max: &[u32], c: u32| {
-            let r = uf_find(parent, c) as usize;
-            if dom_min[r] == dom_max[r] {
-                dom_min[r] as usize
-            } else {
-                domains
-            }
-        };
-        for &(slot, src, _) in moves.iter() {
-            worklists[task_of(parent, dom_min, dom_max, src)].push(slot);
-        }
-        if worklists.iter().filter(|w| !w.is_empty()).count() < 2 {
-            // Everything collapsed into one task (often the boundary task on
-            // tiny fabrics): the parallel machinery would only add overhead.
-            worklists.iter_mut().for_each(Vec::clear);
-            self.tick_body();
-            return;
-        }
-        for &c in touched.iter() {
-            groups[task_of(parent, dom_min, dom_max, c)].push(c);
-        }
-        for g in groups.iter_mut() {
-            g.sort_unstable();
-        }
-
-        let cfg = self.config;
-        let now = self.now;
-        let split = split_groups(&mut self.chans, groups, claims)
-            .expect("conflict components are disjoint by construction");
-        let mut tasks: Vec<TickTask<'_>> = split
-            .into_iter()
-            .zip(worklists.iter_mut())
-            .zip(deltas.iter_mut())
-            .map(|((chans, worklist), delta)| TickTask {
-                chans,
-                worklist,
-                delta,
-            })
-            .collect();
-        run_tasks(&mut tasks, |_, t| exec_worklist(&cfg, now, t));
-        drop(tasks);
-
-        // Deterministic merge, in task order. Every slot belongs to exactly
-        // one task's delta, and within a tick its bit history is one of
-        // {clear}, {set}, {clear then set} — so applying all clears before
-        // all sets reproduces the serial final bitmap.
-        let dense_cost = (self.node_count() * move_slots) as u64;
-        let mut visited: u64 = 0;
-        for d in deltas.iter() {
-            visited += d.visited;
-            self.stats.blocked_hops += d.blocked;
-        }
-        for d in deltas.iter() {
-            for &slot in &d.clears {
-                self.active[slot as usize / 64] &= !(1u64 << (slot % 64));
-            }
-        }
-        for d in deltas.iter() {
-            for &slot in &d.sets {
-                self.active[slot as usize / 64] |= 1u64 << (slot % 64);
-            }
-        }
-        self.stats.scan.scanned_channels += visited;
-        self.stats.scan.skipped_work += dense_cost - visited;
-        for wl in worklists.iter_mut() {
-            wl.clear();
-        }
-        for d in deltas.iter_mut() {
-            d.clear();
-        }
-    }
-
-    /// Splits the fabric into per-domain injection/ejection views for the
-    /// machine simulator's parallel cycle. Domain `d` of `bounds` receives
-    /// exclusive access to its nodes' channels; counters accumulate into a
-    /// per-range delta that [`absorb_inject_deltas`](Fabric::absorb_inject_deltas)
-    /// or [`absorb_eject_deltas`](Fabric::absorb_eject_deltas) folds back in
-    /// domain order, reproducing the serial ascending-node scan byte for
-    /// byte. Requires per-link observability to be off.
-    pub fn split_node_ranges(&mut self, bounds: &[usize]) -> Vec<FabricRange<'_>> {
-        debug_assert!(!self.observe, "ranges do not maintain per-link counters");
-        debug_assert_eq!(bounds[0], 0);
-        debug_assert_eq!(*bounds.last().expect("non-empty bounds"), self.node_count());
-        let stride = self.config.topo.stride();
-        let total_nodes = self.node_count();
-        let now = self.now;
-        let cfg = self.config;
-        let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-        let mut chans: &mut [VecDeque<Packet>] = self.chans.as_mut_slice();
-        for w in bounds.windows(2) {
-            let take = (w[1] - w[0]) * stride;
-            let rest = chans;
-            let (head, tail) = rest.split_at_mut(take);
-            chans = tail;
-            out.push(FabricRange {
-                cfg,
-                now,
-                total_nodes,
-                lo: w[0],
-                chans: head,
-                delta: FabricRangeDelta::default(),
-            });
-        }
-        out
-    }
-
-    /// Folds injection-phase deltas back into the fabric, in domain order.
-    /// The in-flight high-water mark is re-armed once at the end of the
-    /// phase, which equals the serial per-inject maximum because in-flight
-    /// only grows during injection.
-    pub fn absorb_inject_deltas(&mut self, deltas: impl IntoIterator<Item = FabricRangeDelta>) {
-        for d in deltas {
-            debug_assert_eq!(d.delivered, 0, "inject-phase delta carries ejections");
-            self.stats.injected += d.injected;
-            self.stats.inject_refusals += d.refusals;
-            self.stats.bad_dest += d.bad_dest;
-            self.in_flight = usize::try_from(self.in_flight as i64 + d.in_flight)
-                .expect("in-flight count cannot go negative");
-            for &slot in &d.marks {
-                self.active[slot as usize / 64] |= 1u64 << (slot % 64);
-            }
-        }
-        self.stats.in_flight_hwm = self.stats.in_flight_hwm.max(self.in_flight);
-    }
-
-    /// Folds ejection-phase deltas back into the fabric, in domain order.
-    pub fn absorb_eject_deltas(&mut self, deltas: impl IntoIterator<Item = FabricRangeDelta>) {
-        for d in deltas {
-            debug_assert_eq!(d.injected, 0, "eject-phase delta carries injections");
-            debug_assert!(d.marks.is_empty(), "ejection never marks the frontier");
-            self.stats.delivered += d.delivered;
-            self.stats.total_latency += d.total_latency;
-            self.stats.latency_hist.merge(&d.hist);
-            self.in_flight = usize::try_from(self.in_flight as i64 + d.in_flight)
-                .expect("in-flight count cannot go negative");
-        }
-    }
-}
-
-fn uf_find(parent: &mut [u32], mut c: u32) -> u32 {
-    loop {
-        let p = parent[c as usize];
-        if p == c {
-            return c;
-        }
-        // Path halving keeps the pre-pass near-linear.
-        let g = parent[p as usize];
-        parent[c as usize] = g;
-        c = g;
-    }
-}
-
-/// Reusable workspace for [`Fabric::tick_domains`]: the pre-pass move list,
-/// the union-find over touched channels, per-task worklists/channel groups,
-/// and per-task effect buffers. One instance per machine amortizes every
-/// allocation across cycles.
-#[derive(Default)]
-pub struct FabricTickScratch {
-    moves: Vec<(u32, u32, u32)>,
-    parent: Vec<u32>,
-    dom_min: Vec<u32>,
-    dom_max: Vec<u32>,
-    chan_epoch: Vec<u32>,
-    epoch: u32,
-    touched: Vec<u32>,
-    groups: Vec<Vec<u32>>,
-    worklists: Vec<Vec<u32>>,
-    deltas: Vec<FabricTickDelta>,
-    claims: SlotClaims,
-}
-
-impl FabricTickScratch {
-    /// Creates an empty workspace; it sizes itself on first use.
-    pub fn new() -> FabricTickScratch {
-        FabricTickScratch::default()
-    }
-
-    fn prepare(&mut self, chan_count: usize, domains: usize) {
-        if self.parent.len() < chan_count {
-            self.parent.resize(chan_count, 0);
-            self.dom_min.resize(chan_count, 0);
-            self.dom_max.resize(chan_count, 0);
-            self.chan_epoch.resize(chan_count, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.chan_epoch.fill(0);
-            self.epoch = 1;
-        }
-        self.moves.clear();
-        self.touched.clear();
-        let tasks = domains + 1;
-        for g in &mut self.groups {
-            g.clear();
-        }
-        self.groups.resize_with(tasks, Vec::new);
-        self.groups.truncate(tasks);
-        for w in &mut self.worklists {
-            w.clear();
-        }
-        self.worklists.resize_with(tasks, Vec::new);
-        self.worklists.truncate(tasks);
-        for d in &mut self.deltas {
-            d.clear();
-        }
-        self.deltas.resize_with(tasks, FabricTickDelta::default);
-        self.deltas.truncate(tasks);
-    }
-}
-
-/// Effects one tick task buffers instead of applying to shared state.
-#[derive(Default)]
-struct FabricTickDelta {
-    visited: u64,
-    blocked: u64,
-    clears: Vec<u32>,
-    sets: Vec<u32>,
-}
-
-impl FabricTickDelta {
-    fn clear(&mut self) {
-        self.visited = 0;
-        self.blocked = 0;
-        self.clears.clear();
-        self.sets.clear();
-    }
-}
-
-/// One task's working set: exclusive access to its component channels, its
-/// slot worklist (mutated by mid-scan re-activations), and its delta.
-struct TickTask<'a> {
-    chans: GroupMut<'a, VecDeque<Packet>>,
-    worklist: &'a mut Vec<u32>,
-    delta: &'a mut FabricTickDelta,
-}
-
-/// Replays one task's slots exactly as the serial hot scan would visit them:
-/// ascending order, with a move that activates a strictly-later slot
-/// inserting that slot into the remaining (sorted) worklist — the mirror of
-/// the serial scan's strictly-above word remask.
-fn exec_worklist(cfg: &FabricConfig, now: u64, t: &mut TickTask<'_>) {
-    let topo = cfg.topo;
-    let (stride, move_slots, ports) = (topo.stride(), topo.move_slots(), topo.ports());
-    let mut i = 0;
-    while i < t.worklist.len() {
-        let slot = t.worklist[i] as usize;
-        i += 1;
-        t.delta.visited += 1;
-        let node = slot / move_slots;
-        let role = role_of_rank(slot % move_slots, ports);
-        let src = chan_of(node, role, stride) as u32;
-        let Some(head) = t.chans.get(src).front() else {
-            debug_assert!(false, "worklist slot on empty channel");
-            continue;
-        };
-        if head.moved_at >= now {
-            // A re-activation visit: the packet arrived earlier this cycle.
-            continue;
-        }
-        let loc = target_c(&topo, node, role);
-        let tgt_role = route_c(&topo, loc, head.msg.dest().index());
-        let tgt = chan_of(loc, tgt_role, stride) as u32;
-        if t.chans.get(tgt).len() >= cap_of_c(cfg, tgt_role, stride) {
-            t.delta.blocked += 1;
-            continue;
-        }
-        let mut p = t.chans.get_mut(src).pop_front().expect("head checked");
-        p.moved_at = now;
-        if t.chans.get(src).is_empty() {
-            t.delta.clears.push(slot as u32);
-        }
-        let tgt_chan = t.chans.get_mut(tgt);
-        tgt_chan.push_back(p);
-        let became_active = tgt_chan.len() == 1;
-        if tgt_role != stride - 1 && became_active {
-            let t_slot = (loc * move_slots + rank_of_role(tgt_role, ports)) as u32;
-            t.delta.sets.push(t_slot);
-            if t_slot as usize > slot {
-                // Visited this cycle by the serial scan; queue it. It cannot
-                // already be pending: activation means the channel was empty.
-                match t.worklist[i..].binary_search(&t_slot) {
-                    Ok(_) => debug_assert!(false, "activated slot already queued"),
-                    Err(pos) => t.worklist.insert(i + pos, t_slot),
-                }
-            }
-        }
-    }
-}
-
-/// Per-range counters accumulated by [`FabricRange`] operations; opaque to
-/// callers, who hand them back to the fabric's absorb methods.
-#[derive(Default)]
-pub struct FabricRangeDelta {
-    injected: u64,
-    refusals: u64,
-    bad_dest: u64,
-    in_flight: i64,
-    delivered: u64,
-    total_latency: u64,
-    hist: LatencyHist,
-    marks: Vec<u32>,
-}
-
-/// Exclusive injection/ejection access to one spatial domain's channels,
-/// produced by [`Fabric::split_node_ranges`]. Mirrors the serial
-/// [`Network`] entry points byte for byte, buffering shared-counter updates
-/// into a [`FabricRangeDelta`].
-pub struct FabricRange<'a> {
-    cfg: FabricConfig,
-    now: u64,
-    total_nodes: usize,
-    lo: usize,
-    chans: &'a mut [VecDeque<Packet>],
-    delta: FabricRangeDelta,
-}
-
-impl FabricRange<'_> {
-    /// Number of nodes attached to the whole fabric (not just this range) —
-    /// the destination validity domain, as in [`Network::node_count`].
-    pub fn node_count(&self) -> usize {
-        self.total_nodes
-    }
-
-    fn local(&self, node: usize, role: usize) -> usize {
-        let stride = self.cfg.topo.stride();
-        debug_assert!(node >= self.lo && (node - self.lo) * stride < self.chans.len());
-        (node - self.lo) * stride + role
-    }
-
-    /// Offers a message for injection at `src` (a node of this range);
-    /// identical semantics to [`Network::inject`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Network::inject`]: `Refused` on a full entry buffer,
-    /// `BadDest` for a destination outside the fabric.
-    pub fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        if msg.dest().index() >= self.total_nodes {
-            self.delta.bad_dest += 1;
-            return Err(InjectError::BadDest(msg));
-        }
-        let idx = self.local(src.index(), INJECT_ROLE);
-        if self.chans[idx].len() >= self.cfg.inject_capacity {
-            self.delta.refusals += 1;
-            return Err(InjectError::Refused(msg));
-        }
-        self.chans[idx].push_back(Packet {
-            msg,
-            injected_at: self.now,
-            moved_at: self.now,
-        });
-        if self.chans[idx].len() == 1 {
-            let topo = self.cfg.topo;
-            let slot = src.index() * topo.move_slots() + rank_of_role(INJECT_ROLE, topo.ports());
-            self.delta.marks.push(slot as u32);
-        }
-        self.delta.in_flight += 1;
-        self.delta.injected += 1;
-        Ok(())
-    }
-
-    /// The message ready for delivery at `dst` this cycle, if any; identical
-    /// semantics to [`Network::peek_eject`].
-    pub fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        self.chans[self.local(dst.index(), self.cfg.topo.stride() - 1)]
-            .front()
-            .map(|p| &p.msg)
-    }
-
-    /// Removes and returns the message ready at `dst`; identical semantics
-    /// to [`Network::eject`].
-    pub fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        let idx = self.local(dst.index(), self.cfg.topo.stride() - 1);
-        let p = self.chans[idx].pop_front()?;
-        self.delta.in_flight -= 1;
-        self.delta.delivered += 1;
-        let latency = self.now - p.injected_at;
-        self.delta.total_latency += latency;
-        self.delta.hist.record(latency);
-        Some(p.msg)
-    }
-
-    /// Consumes the range, releasing its channel borrow and yielding the
-    /// buffered counters for the fabric's absorb methods.
-    pub fn into_delta(self) -> FabricRangeDelta {
-        self.delta
-    }
 }
 
 impl Network for Fabric {
@@ -974,7 +433,34 @@ impl Network for Fabric {
         if self.in_flight == 0 {
             return;
         }
-        self.tick_body();
+        let move_slots = self.config.topo.move_slots();
+        let dense_cost = (self.node_count() * move_slots) as u64;
+        let mut visited: u64 = 0;
+        if self.dense_scan {
+            for slot in 0..self.node_count() * move_slots {
+                self.move_head(slot);
+            }
+            visited = dense_cost;
+        } else {
+            // Iterate set bits in ascending slot order. The word is re-read
+            // after each move with a strictly-above mask: a move can set a
+            // *later* bit in the current word (a packet entering a channel
+            // the dense scan had not reached yet), which must be visited
+            // this cycle exactly as the dense scan would — while moves into
+            // already-passed slots stay unvisited until next cycle, again
+            // exactly like the dense scan.
+            for w in 0..self.active.len() {
+                let mut bits = self.active[w];
+                while bits != 0 {
+                    let b = bits.trailing_zeros();
+                    self.move_head(w * 64 + b as usize);
+                    visited += 1;
+                    bits = self.active[w] & ((!0u64 << b) << 1);
+                }
+            }
+        }
+        self.stats.scan.scanned_channels += visited;
+        self.stats.scan.skipped_work += dense_cost - visited;
     }
 
     fn in_flight(&self) -> usize {
@@ -1293,168 +779,6 @@ mod tests {
                 ds.scan.scanned_channels + ds.scan.skipped_work,
             );
         }
-    }
-
-    /// `tick_domains` must be bit-identical to the serial `tick` — including
-    /// the scan effort meters, since the parallel path replays exactly the
-    /// serial visit multiset — under sustained mixed traffic with blocked
-    /// moves and mid-cycle re-activations, at several domain counts, on
-    /// every topology (wrap links make boundary components common).
-    #[test]
-    fn tick_domains_matches_serial_tick() {
-        for topo in [
-            TopologyKind::mesh(4, 3),
-            TopologyKind::torus(4, 3),
-            TopologyKind::ring(12),
-            TopologyKind::full(12),
-        ] {
-            let run = |domains: usize| -> (Vec<(u16, u32)>, NetStats, crate::ScanStats) {
-                let mut net = Fabric::new(FabricConfig::of(topo));
-                let n = net.node_count();
-                let bounds: Vec<usize> = tcni_util::par::domain_bounds(n, domains);
-                let mut scratch = FabricTickScratch::new();
-                let mut got = Vec::new();
-                let mut x = 0x1234_5678_9abc_def0u64;
-                for step in 0..600u32 {
-                    for k in 0..3u32 {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let src = ((x >> 33) % n as u64) as u16;
-                        let dst = ((x >> 13) % n as u64) as u16;
-                        let _ = net.inject(NodeId::new(src), msg(dst, step * 4 + k));
-                    }
-                    if domains == 0 {
-                        net.tick();
-                    } else {
-                        net.tick_domains(&bounds, &mut scratch);
-                    }
-                    if step % 3 == 0 {
-                        for d in 0..n as u16 {
-                            while let Some(m) = net.eject(NodeId::new(d)) {
-                                got.push((d, m.words[1]));
-                            }
-                        }
-                    }
-                }
-                for _ in 0..200 {
-                    if domains == 0 {
-                        net.tick();
-                    } else {
-                        net.tick_domains(&bounds, &mut scratch);
-                    }
-                    for d in 0..n as u16 {
-                        while let Some(m) = net.eject(NodeId::new(d)) {
-                            got.push((d, m.words[1]));
-                        }
-                    }
-                }
-                assert_eq!(net.in_flight(), 0, "everything drained");
-                (got, net.stats(), net.stats().scan)
-            };
-            tcni_util::par::set_threads(3);
-            let (serial, serial_stats, serial_scan) = run(0);
-            for domains in [1, 2, 3, 5, 12] {
-                let name = topo.name();
-                let (par, par_stats, par_scan) = run(domains);
-                assert_eq!(serial, par, "{name} domains={domains}: delivery order");
-                assert_eq!(serial_stats, par_stats, "{name} domains={domains}: stats");
-                // Stronger than the hot-vs-dense pin: the parallel scan
-                // replays the same visits, so even the effort meters must be
-                // byte-equal.
-                assert_eq!(serial_scan, par_scan, "{name} domains={domains}: scan");
-            }
-            tcni_util::par::set_threads(0);
-        }
-    }
-
-    /// The per-domain inject/eject ranges plus delta absorption must match
-    /// the serial `Network` entry points byte for byte.
-    #[test]
-    fn node_ranges_match_serial_inject_and_eject() {
-        let drive = |split: bool| -> (Vec<(u16, u32)>, NetStats) {
-            let mut net = Fabric::new(FabricConfig::new(3, 2));
-            let n = net.node_count();
-            let bounds = [0usize, 2, 4, n];
-            let mut got = Vec::new();
-            let mut x = 0x0dd0_beef_1234_5678u64;
-            for step in 0..400u32 {
-                // Injection phase: every node offers one message; node 5
-                // sometimes offers one with an invalid destination.
-                if split {
-                    let mut ranges = net.split_node_ranges(&bounds);
-                    for (d, range) in ranges.iter_mut().enumerate() {
-                        for node in bounds[d]..bounds[d + 1] {
-                            x = x
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            // Hot-spot node 0 half the time so backpressure
-                            // reaches the injectors and refusals happen.
-                            let dst = if x & 1 == 0 {
-                                0
-                            } else {
-                                ((x >> 23) % (n as u64 + 1)) as u16
-                            };
-                            let _ = range.inject(NodeId::new(node as u16), msg(dst, step));
-                        }
-                    }
-                    let deltas: Vec<FabricRangeDelta> =
-                        ranges.into_iter().map(FabricRange::into_delta).collect();
-                    net.absorb_inject_deltas(deltas);
-                } else {
-                    for node in 0..n {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let dst = if x & 1 == 0 {
-                            0
-                        } else {
-                            ((x >> 23) % (n as u64 + 1)) as u16
-                        };
-                        let _ = net.inject(NodeId::new(node as u16), msg(dst, step));
-                    }
-                }
-                net.tick();
-                // Ejection phase: drain every node, intermittently, so the
-                // hot-spot eject buffer backs up in between.
-                if step % 5 == 0 {
-                    if split {
-                        let mut ranges = net.split_node_ranges(&bounds);
-                        for (d, range) in ranges.iter_mut().enumerate() {
-                            for node in bounds[d]..bounds[d + 1] {
-                                while range.peek_eject(NodeId::new(node as u16)).is_some() {
-                                    let m = range.eject(NodeId::new(node as u16)).unwrap();
-                                    got.push((node as u16, m.words[1]));
-                                }
-                            }
-                        }
-                        let deltas: Vec<FabricRangeDelta> =
-                            ranges.into_iter().map(FabricRange::into_delta).collect();
-                        net.absorb_eject_deltas(deltas);
-                    } else {
-                        for node in 0..n {
-                            while net.peek_eject(NodeId::new(node as u16)).is_some() {
-                                let m = net.eject(NodeId::new(node as u16)).unwrap();
-                                got.push((node as u16, m.words[1]));
-                            }
-                        }
-                    }
-                }
-            }
-            (got, net.stats())
-        };
-        let (serial, serial_stats) = drive(false);
-        let (split, split_stats) = drive(true);
-        assert_eq!(serial, split, "delivery stream");
-        assert_eq!(
-            serial_stats, split_stats,
-            "stats (hwm, bad_dest, refusals included)"
-        );
-        assert!(split_stats.bad_dest > 0, "the sweep exercised BadDest");
-        assert!(
-            split_stats.inject_refusals > 0,
-            "the sweep exercised Refused"
-        );
     }
 
     /// Ticks of an empty fabric cost (and count) nothing — the property

@@ -21,17 +21,15 @@
 //! stall schedule — so a schedule is a pure function of the seed and each
 //! node's own call sequence: two same-seed runs fault identically, and the
 //! draws of one node never depend on how much traffic *other* nodes
-//! offered. That independence is what lets the machine simulator shard a
-//! fault-wrapped fabric across worker threads ([`FaultRange`]) and still
-//! reproduce the serial schedule bit for bit. All rates are per-mille; a
-//! zero-rate wrapper is an observably exact pass-through (tested below),
-//! which is what lets the fault-free paper models stay bit-identical.
+//! offered. All rates are per-mille; a zero-rate wrapper is an observably
+//! exact pass-through (tested below), which is what lets the fault-free
+//! paper models stay bit-identical.
 
 use tcni_check::Rng;
 use tcni_core::{Message, NodeId, MSG_WORDS};
 
 use crate::stats::NetStats;
-use crate::{FabricRange, FabricRangeDelta, FabricTickScratch, InjectError, Network, NetworkKind};
+use crate::{InjectError, Network, NetworkKind};
 
 /// Per-mille fault rates plus the schedule seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,248 +196,6 @@ impl FaultyFabric {
             }
         }
     }
-
-    /// Splits a switched-fabric-based fault-wrapped network into per-domain
-    /// injection/ejection views for the machine simulator's parallel cycle
-    /// (the fault-layer analogue of [`Fabric::split_node_ranges`]). Each
-    /// range gets exclusive access to its nodes' fabric channels *and* their
-    /// private per-message fault streams; the stall tables are shared
-    /// read-only (the stall schedule only advances at the tick barrier).
-    /// Because every fault draw comes from the drawing node's own stream,
-    /// per-domain draw interleavings reproduce the serial ascending-node
-    /// schedule bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wrapped base fabric is not a switched fabric (i.e. it is ideal).
-    pub fn split_fault_ranges(&mut self, bounds: &[usize]) -> Vec<FaultRange<'_>> {
-        let FaultyFabric {
-            inner,
-            config,
-            msg_rng,
-            now,
-            inject_stall,
-            eject_stall,
-            ..
-        } = self;
-        let fabric = inner
-            .as_fabric_mut()
-            .expect("fault ranges shard a switched base fabric");
-        let mesh_ranges = fabric.split_node_ranges(bounds);
-        let inject_stall: &[u64] = inject_stall;
-        let eject_stall: &[u64] = eject_stall;
-        let mut rngs: &mut [Rng] = msg_rng.as_mut_slice();
-        let mut out = Vec::with_capacity(mesh_ranges.len());
-        for (w, fabric) in bounds.windows(2).zip(mesh_ranges) {
-            let (head, tail) = rngs.split_at_mut(w[1] - w[0]);
-            rngs = tail;
-            out.push(FaultRange {
-                fabric,
-                config: *config,
-                now: *now,
-                lo: w[0],
-                msg_rng: head,
-                inject_stall,
-                eject_stall,
-                delta: FaultRangeDelta::default(),
-            });
-        }
-        out
-    }
-
-    /// Folds injection-phase range deltas back in, in domain order — the
-    /// fault-layer analogue of [`Fabric::absorb_inject_deltas`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wrapped base fabric is not a switched fabric (i.e. it is ideal).
-    pub fn absorb_inject_deltas(&mut self, deltas: impl IntoIterator<Item = FaultRangeDelta>) {
-        let FaultyFabric {
-            inner,
-            counters,
-            stall_refusals,
-            ..
-        } = self;
-        let fabric = inner
-            .as_fabric_mut()
-            .expect("fault ranges shard a switched base fabric");
-        fabric.absorb_inject_deltas(deltas.into_iter().map(|d| {
-            counters.dropped += d.counters.dropped;
-            counters.duplicated += d.counters.duplicated;
-            counters.corrupted += d.counters.corrupted;
-            counters.stalls += d.counters.stalls;
-            *stall_refusals += d.stall_refusals;
-            d.fabric
-        }));
-    }
-
-    /// Folds ejection-phase range deltas back in, in domain order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wrapped base fabric is not a switched fabric (i.e. it is ideal).
-    pub fn absorb_eject_deltas(&mut self, deltas: impl IntoIterator<Item = FaultRangeDelta>) {
-        let fabric = self
-            .inner
-            .as_fabric_mut()
-            .expect("fault ranges shard a switched base fabric");
-        fabric.absorb_eject_deltas(deltas.into_iter().map(|d| {
-            debug_assert!(!d.counters.any(), "eject-phase delta carries faults");
-            debug_assert_eq!(d.stall_refusals, 0, "eject-phase delta carries refusals");
-            d.fabric
-        }));
-    }
-
-    /// Advances the wrapped fabric by one cycle with the domain-sharded tick,
-    /// then rolls the stall schedule exactly as [`Network::tick`] would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wrapped base fabric is not a switched fabric (i.e. it is ideal).
-    pub fn tick_domains(&mut self, bounds: &[usize], scratch: &mut FabricTickScratch) {
-        self.inner
-            .as_fabric_mut()
-            .expect("fault ranges shard a switched base fabric")
-            .tick_domains(bounds, scratch);
-        self.now += 1;
-        self.roll_stalls();
-    }
-}
-
-/// Applies one offered message's fault draws (drop → corrupt → duplicate,
-/// fixed order) from the source node's private stream, then hands the
-/// possibly-corrupted wire copy to `sink` — the one code path shared by the
-/// serial [`Network::inject`] and the sharded [`FaultRange::inject`], so
-/// the two cannot diverge.
-fn faulted_inject(
-    rng: &mut Rng,
-    config: &FaultConfig,
-    counters: &mut crate::FaultCounters,
-    src: NodeId,
-    msg: Message,
-    mut sink: impl FnMut(NodeId, Message) -> Result<(), InjectError>,
-) -> Result<(), InjectError> {
-    let drop = hit(rng, config.drop_pm);
-    let corrupt = hit(rng, config.corrupt_pm);
-    let duplicate = hit(rng, config.duplicate_pm);
-    if drop {
-        // Accepted, then lost at the entry link. The sender's view is a
-        // successful send; only `faults.dropped` knows better.
-        counters.dropped += 1;
-        return Ok(());
-    }
-    let mut wire = msg;
-    if corrupt {
-        let word = 1 + rng.index(MSG_WORDS - 1);
-        let bit = rng.below(32) as u32;
-        wire.words[word] ^= 1 << bit;
-    }
-    match sink(src, wire) {
-        Ok(()) => {
-            if corrupt {
-                counters.corrupted += 1;
-            }
-            if duplicate {
-                // A second copy rides right behind; losing it to a full
-                // entry buffer is not a fault worth counting.
-                if sink(src, wire).is_ok() {
-                    counters.duplicated += 1;
-                }
-            }
-            Ok(())
-        }
-        // Hand back the caller's original, not the corrupted copy.
-        Err(InjectError::Refused(_)) => Err(InjectError::Refused(msg)),
-        Err(InjectError::BadDest(_)) => Err(InjectError::BadDest(msg)),
-        Err(InjectError::NotParticipant(_)) => {
-            unreachable!("base fabrics do not emit NotParticipant")
-        }
-    }
-}
-
-/// Per-range fault effects buffered by [`FaultRange`] operations; opaque to
-/// callers, who hand them back to the fabric's absorb methods.
-#[derive(Default)]
-pub struct FaultRangeDelta {
-    fabric: FabricRangeDelta,
-    counters: crate::FaultCounters,
-    stall_refusals: u64,
-}
-
-/// Exclusive injection/ejection access to one spatial domain of a
-/// fault-wrapped fabric, produced by [`FaultyFabric::split_fault_ranges`].
-/// Mirrors the serial fault-layer [`Network`] entry points byte for byte:
-/// same stall gates, same per-node draw streams, same drop/corrupt/
-/// duplicate order — with shared-counter updates buffered into a
-/// [`FaultRangeDelta`].
-pub struct FaultRange<'a> {
-    fabric: FabricRange<'a>,
-    config: FaultConfig,
-    now: u64,
-    lo: usize,
-    msg_rng: &'a mut [Rng],
-    inject_stall: &'a [u64],
-    eject_stall: &'a [u64],
-    delta: FaultRangeDelta,
-}
-
-impl FaultRange<'_> {
-    /// Number of nodes attached to the whole fabric (not just this range).
-    pub fn node_count(&self) -> usize {
-        self.fabric.node_count()
-    }
-
-    /// Offers a message for injection at `src` (a node of this range);
-    /// identical semantics to the serial fault-layer [`Network::inject`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as the serial path: `Refused` on a stalled port or full
-    /// entry buffer, `BadDest` for a destination outside the fabric.
-    pub fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        if self.now < self.inject_stall[src.index()] {
-            self.delta.stall_refusals += 1;
-            return Err(InjectError::Refused(msg));
-        }
-        if msg.dest().index() >= self.fabric.node_count() {
-            return self.fabric.inject(src, msg);
-        }
-        let rng = &mut self.msg_rng[src.index() - self.lo];
-        let fabric = &mut self.fabric;
-        faulted_inject(
-            rng,
-            &self.config,
-            &mut self.delta.counters,
-            src,
-            msg,
-            |s, m| fabric.inject(s, m),
-        )
-    }
-
-    /// The message ready for delivery at `dst` this cycle, if any; identical
-    /// semantics to the serial fault-layer [`Network::peek_eject`].
-    pub fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        if self.now < self.eject_stall[dst.index()] {
-            return None;
-        }
-        self.fabric.peek_eject(dst)
-    }
-
-    /// Removes and returns the message ready at `dst`; identical semantics
-    /// to the serial fault-layer [`Network::eject`].
-    pub fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        if self.now < self.eject_stall[dst.index()] {
-            return None;
-        }
-        self.fabric.eject(dst)
-    }
-
-    /// Consumes the range, releasing its borrows and yielding the buffered
-    /// effects for the fabric's absorb methods.
-    pub fn into_delta(mut self) -> FaultRangeDelta {
-        self.delta.fabric = self.fabric.into_delta();
-        self.delta
-    }
 }
 
 impl Network for FaultyFabric {
@@ -457,21 +213,45 @@ impl Network for FaultyFabric {
         if msg.dest().index() >= self.inner.node_count() {
             return self.inner.inject(src, msg);
         }
-        let FaultyFabric {
-            inner,
-            config,
-            msg_rng,
-            counters,
-            ..
-        } = self;
-        faulted_inject(
-            &mut msg_rng[src.index()],
-            config,
-            counters,
-            src,
-            msg,
-            |s, m| inner.inject(s, m),
-        )
+        // The offered message's fault draws, in a fixed order (drop →
+        // corrupt → duplicate), from the source node's private stream.
+        let rng = &mut self.msg_rng[src.index()];
+        let drop = hit(rng, self.config.drop_pm);
+        let corrupt = hit(rng, self.config.corrupt_pm);
+        let duplicate = hit(rng, self.config.duplicate_pm);
+        if drop {
+            // Accepted, then lost at the entry link. The sender's view is a
+            // successful send; only `faults.dropped` knows better.
+            self.counters.dropped += 1;
+            return Ok(());
+        }
+        let mut wire = msg;
+        if corrupt {
+            let word = 1 + rng.index(MSG_WORDS - 1);
+            let bit = rng.below(32) as u32;
+            wire.words[word] ^= 1 << bit;
+        }
+        match self.inner.inject(src, wire) {
+            Ok(()) => {
+                if corrupt {
+                    self.counters.corrupted += 1;
+                }
+                if duplicate {
+                    // A second copy rides right behind; losing it to a full
+                    // entry buffer is not a fault worth counting.
+                    if self.inner.inject(src, wire).is_ok() {
+                        self.counters.duplicated += 1;
+                    }
+                }
+                Ok(())
+            }
+            // Hand back the caller's original, not the corrupted copy.
+            Err(InjectError::Refused(_)) => Err(InjectError::Refused(msg)),
+            Err(InjectError::BadDest(_)) => Err(InjectError::BadDest(msg)),
+            Err(InjectError::NotParticipant(_)) => {
+                unreachable!("base fabrics do not emit NotParticipant")
+            }
+        }
     }
 
     fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
@@ -723,63 +503,6 @@ mod tests {
         let s = net.stats();
         assert_eq!(s.bad_dest, 1);
         assert_eq!(s.faults.dropped, 1);
-    }
-
-    #[test]
-    fn sharded_ranges_reproduce_the_serial_schedule() {
-        // Drive two same-seed fault-wrapped meshes through identical offer
-        // sequences — one through the serial Network entry points, one
-        // through per-domain FaultRanges — and demand bit-identical
-        // deliveries, counters, and stats.
-        let build = || {
-            FaultyFabric::new(
-                Fabric::new(FabricConfig::new(4, 2)).into(),
-                FaultConfig::uniform(99, 180),
-            )
-        };
-        let bounds = [0usize, 3, 6, 8];
-        let mut serial = build();
-        let mut sharded = build();
-        let mut scratch = FabricTickScratch::new();
-        let mut got_serial = Vec::new();
-        let mut got_sharded = Vec::new();
-        for cycle in 0..300u32 {
-            for i in 0..8u16 {
-                let m = msg((i + 1) % 8, cycle * 8 + u32::from(i));
-                let _ = serial.inject(NodeId::new(i), m);
-            }
-            serial.tick();
-            for d in 0..8u16 {
-                while let Some(m) = serial.eject(NodeId::new(d)) {
-                    got_serial.push((d, m));
-                }
-            }
-
-            let mut deltas = Vec::new();
-            for (w, mut range) in bounds.windows(2).zip(sharded.split_fault_ranges(&bounds)) {
-                for i in w[0] as u16..w[1] as u16 {
-                    let m = msg((i + 1) % 8, cycle * 8 + u32::from(i));
-                    let _ = range.inject(NodeId::new(i), m);
-                }
-                deltas.push(range.into_delta());
-            }
-            sharded.absorb_inject_deltas(deltas);
-            sharded.tick_domains(&bounds, &mut scratch);
-            let mut deltas = Vec::new();
-            for (w, mut range) in bounds.windows(2).zip(sharded.split_fault_ranges(&bounds)) {
-                for d in w[0]..w[1] {
-                    while let Some(m) = range.eject(NodeId::new(d as u16)) {
-                        got_sharded.push((d as u16, m));
-                    }
-                }
-                deltas.push(range.into_delta());
-            }
-            sharded.absorb_eject_deltas(deltas);
-        }
-        assert_eq!(got_serial, got_sharded);
-        assert_eq!(serial.counters(), sharded.counters());
-        assert_eq!(serial.stats(), sharded.stats());
-        assert!(serial.counters().any(), "schedule actually faulted");
     }
 
     #[test]

@@ -38,10 +38,8 @@ mod stats;
 mod topology;
 mod tree;
 
-pub use fabric::{
-    Fabric, FabricConfig, FabricRange, FabricRangeDelta, FabricTickScratch, LinkReport, LinkStats,
-};
-pub use fault::{FaultConfig, FaultRange, FaultRangeDelta, FaultyFabric};
+pub use fabric::{Fabric, FabricConfig, LinkReport, LinkStats};
+pub use fault::{FaultConfig, FaultyFabric};
 pub use ideal::IdealNetwork;
 pub use kind::NetworkKind;
 pub use stats::{FaultCounters, LatencyHist, NetStats, ScanStats};

@@ -82,15 +82,6 @@ impl LatencyHist {
         unreachable!("rank <= total implies some bucket reaches it")
     }
 
-    /// Adds another histogram's counts into this one (per-bucket sum). Used
-    /// by the parallel tick to reduce per-domain delivery histograms back
-    /// into the fabric's aggregate in domain order.
-    pub fn merge(&mut self, other: &LatencyHist) {
-        for (slot, add) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *slot += add;
-        }
-    }
-
     /// The histogram of deliveries recorded since `baseline` was snapshotted
     /// from this same histogram (per-bucket subtraction). Used by measurement
     /// windows: snapshot before, subtract after, extract percentiles of the
@@ -213,8 +204,8 @@ pub struct ScanStats {
     /// cross-check layout, whose rows are not entry-counted.
     pub active_flows: u64,
     /// Sum of the per-node flow-table high-water marks — an upper bound on
-    /// the sparse store's peak footprint, deterministic at any worker count
-    /// (each node's table evolves locally).
+    /// the sparse store's peak footprint (each node's table evolves
+    /// locally).
     pub peak_flows: u64,
     /// Open-addressing probe steps spent on flow-table lookups, inserts,
     /// and evictions (resize rehashes excluded). Zero under the dense
@@ -460,20 +451,6 @@ mod tests {
     #[should_panic(expected = "percentile 0 out of range")]
     fn percentile_rejects_zero() {
         let _ = LatencyHist::default().percentile(0);
-    }
-
-    #[test]
-    fn histogram_merge_adds_buckets() {
-        let mut a = LatencyHist::default();
-        a.record(1);
-        a.record(300);
-        let mut b = LatencyHist::default();
-        b.record(1);
-        b.record(0);
-        a.merge(&b);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.buckets()[0], 1);
-        assert_eq!(a.buckets()[1], 2);
     }
 
     #[test]

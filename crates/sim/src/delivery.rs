@@ -52,14 +52,10 @@
 //! live tx slot per communicating pair and rx slots for in-progress
 //! receives.
 //!
-//! **Determinism.** Table lookups are metered (`ScanStats::flow_probes`),
-//! and the meter is invariant under the sharded tick: every metered lookup
-//! is driven by its major node's own phase work in per-node program order,
-//! serial and sharded alike, and a linear-probe lookup of an existing key
-//! is unaffected by later inserts (they only fill cells off its probe
-//! path). Timeout-list maintenance, whose neighbour lookups replay at a
-//! different point of the cycle under the sharded tick, is excluded from
-//! the meter (see [`flow_quiet`]), as are resize rehashes.
+//! **Metering.** Table lookups are metered (`ScanStats::flow_probes`):
+//! every lookup the protocol's send, receive, and fire work makes counts
+//! its probe steps. Timeout-list maintenance is excluded from the meter
+//! (see [`flow_quiet`]), as are resize rehashes.
 //!
 //! ## Hot-set scheduling
 //!
@@ -78,19 +74,6 @@
 //! push/pop. The dense scan survives as a cross-check behind
 //! [`Machine::set_dense_scan`](crate::Machine::set_dense_scan), examining
 //! the dense `nodes²` cost regardless of storage.
-//!
-//! ## Parallel cycle
-//!
-//! Under the machine's sharded tick, each spatial domain operates on its
-//! own per-node tables through a [`DeliveryRange`]: `tx`/`outbox` are
-//! source-major and `rx` destination-major, so a domain's CPU-side sends
-//! and NI-side receives touch only its slice. Whatever is *not* sliceable —
-//! the aggregate counters, the active-outbox set, and the intrusive
-//! timeout list — is buffered as a [`DeliveryDelta`] and replayed by
-//! [`Delivery::absorb_deltas`] in domain order, which is ascending node
-//! order, i.e. exactly the serial walk. The timeout pump keeps its
-//! due-flow *collection* serial (the list walk is global and meters
-//! `scanned_flows`), then fires due flows per-domain in parallel.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -98,11 +81,6 @@ use std::collections::VecDeque;
 use tcni_core::{payload_crc, E2eHeader, E2eKind, Message, NodeId, WireFormat};
 use tcni_isa::MsgType;
 use tcni_net::ScanStats;
-use tcni_util::par::run_tasks;
-
-/// Minimum due flows before the pump's fire phase goes parallel; below
-/// this, per-task bookkeeping costs more than it saves.
-const PAR_FIRE_MIN: usize = 8;
 
 /// Null link of the intrusive timeout list. Links carry pair keys widened
 /// to `u64`: the widest legal pair key (65535, 65535) is `u32::MAX`, so a
@@ -146,8 +124,7 @@ fn pair_minor(pr: u32) -> usize {
 }
 
 /// SplitMix64 finalizer, spreading the 32-bit pair key over a
-/// power-of-two bucket space. Hashing the *global* key (not a row-local
-/// one) keeps serial and sharded probes on the same cells.
+/// power-of-two bucket space.
 #[inline]
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -214,24 +191,6 @@ pub struct DeliveryStats {
     pub corrupt_dropped: u64,
     /// Messages abandoned after the retransmit budget ran out.
     pub abandoned: u64,
-}
-
-impl DeliveryStats {
-    /// Adds another counter set into this one (per-domain deltas reduced in
-    /// domain order by the parallel cycle).
-    fn add(&mut self, o: &DeliveryStats) {
-        self.accepted += o.accepted;
-        self.retransmits += o.retransmits;
-        self.timeout_rounds += o.timeout_rounds;
-        self.acks_sent += o.acks_sent;
-        self.acks_coalesced += o.acks_coalesced;
-        self.acks_received += o.acks_received;
-        self.delivered_unique += o.delivered_unique;
-        self.dup_suppressed += o.dup_suppressed;
-        self.out_of_order_dropped += o.out_of_order_dropped;
-        self.corrupt_dropped += o.corrupt_dropped;
-        self.abandoned += o.abandoned;
-    }
 }
 
 /// What the receive side decided about an arrived protocol message.
@@ -312,8 +271,7 @@ struct NodeFlows<T> {
     /// High-water mark of `live`.
     peak: u32,
     /// Probe steps spent on metered lookups (`Cell`: read paths through
-    /// `&self` must count too; tables are reached through disjoint `&mut`
-    /// slices per worker, so no `Sync` is ever required of the cell).
+    /// `&self` must count too).
     probes: Cell<u64>,
 }
 
@@ -490,8 +448,8 @@ impl<T: Default> NodeFlows<T> {
     }
 
     /// Live entries in slab-slot order (deterministic: the slot layout is a
-    /// pure function of the table's operation history, which the sharded
-    /// tick replays identically). Callers who need key order sort.
+    /// pure function of the table's operation history). Callers who need
+    /// key order sort.
     fn iter(&self) -> impl Iterator<Item = (u32, &T)> + '_ {
         self.pair_of
             .iter()
@@ -530,14 +488,12 @@ impl<T: Default> FlowRow<T> {
 // --- flow accessors ----------------------------------------------------------
 //
 // Free functions rather than methods so call sites borrow only the table
-// field, leaving the rest of the struct (counters, outboxes) free. All
-// take the *global* pair key plus the local row index (`major` for the
-// whole-machine [`Delivery`], `major - lo` inside a [`DeliveryRange`]):
-// hashing the global key keeps serial and sharded probe sequences equal.
+// field, leaving the rest of the struct (counters, outboxes) free. Each
+// takes the pair key and looks it up in the row of its major node.
 
 /// Metered read.
-fn flow_ref<T: Default>(rows: &[FlowRow<T>], local: usize, pr: u32) -> Option<&T> {
-    match &rows[local] {
+fn flow_ref<T: Default>(rows: &[FlowRow<T>], pr: u32) -> Option<&T> {
+    match &rows[pair_major(pr)] {
         FlowRow::Dense(row) => row.as_deref().map(|r| &r[pair_minor(pr)]),
         FlowRow::Sparse(map) => map.get(pr),
     }
@@ -545,8 +501,8 @@ fn flow_ref<T: Default>(rows: &[FlowRow<T>], local: usize, pr: u32) -> Option<&T
 
 /// Unmetered read (debug assertions only — the probe meter must not move
 /// between debug and release builds).
-fn flow_peek<T: Default>(rows: &[FlowRow<T>], local: usize, pr: u32) -> Option<&T> {
-    match &rows[local] {
+fn flow_peek<T: Default>(rows: &[FlowRow<T>], pr: u32) -> Option<&T> {
+    match &rows[pair_major(pr)] {
         FlowRow::Dense(row) => row.as_deref().map(|r| &r[pair_minor(pr)]),
         FlowRow::Sparse(map) => map.peek(pr),
     }
@@ -554,8 +510,8 @@ fn flow_peek<T: Default>(rows: &[FlowRow<T>], local: usize, pr: u32) -> Option<&
 
 /// Metered creating lookup: materialises the flow (and, under the dense
 /// cross-check, its whole row) on first touch.
-fn flow_mut<T: Default>(rows: &mut [FlowRow<T>], nodes: usize, local: usize, pr: u32) -> &mut T {
-    match &mut rows[local] {
+fn flow_mut<T: Default>(rows: &mut [FlowRow<T>], nodes: usize, pr: u32) -> &mut T {
+    match &mut rows[pair_major(pr)] {
         FlowRow::Dense(row) => {
             let r = row.get_or_insert_with(|| (0..nodes).map(|_| T::default()).collect());
             &mut r[pair_minor(pr)]
@@ -568,20 +524,18 @@ fn flow_mut<T: Default>(rows: &mut [FlowRow<T>], nodes: usize, local: usize, pr:
 /// row answers `Some` for every pair (the slot reads as default state),
 /// which is observationally the same as the sparse `None`: every caller
 /// either proves the flow live or treats a default flow as a no-op.
-fn flow_edit<T: Default>(rows: &mut [FlowRow<T>], local: usize, pr: u32) -> Option<&mut T> {
-    match &mut rows[local] {
+fn flow_edit<T: Default>(rows: &mut [FlowRow<T>], pr: u32) -> Option<&mut T> {
+    match &mut rows[pair_major(pr)] {
         FlowRow::Dense(row) => row.as_deref_mut().map(|r| &mut r[pair_minor(pr)]),
         FlowRow::Sparse(map) => map.get_mut(pr),
     }
 }
 
-/// Unmetered non-creating lookup, for timeout-list maintenance only.
-/// Under the sharded tick, list operations replay in [`Delivery::absorb_deltas`]
-/// after the phase that recorded them, when neighbouring tables may have
-/// grown past the state a serial tick saw inline — metering these lookups
-/// would make `flow_probes` depend on the worker count.
-fn flow_quiet<T: Default>(rows: &mut [FlowRow<T>], local: usize, pr: u32) -> Option<&mut T> {
-    match &mut rows[local] {
+/// Unmetered non-creating lookup, for timeout-list maintenance only:
+/// `flow_probes` meters the lookups the protocol's own send, receive, and
+/// fire work makes, not the upkeep of the scheduler's list.
+fn flow_quiet<T: Default>(rows: &mut [FlowRow<T>], pr: u32) -> Option<&mut T> {
+    match &mut rows[pair_major(pr)] {
         FlowRow::Dense(row) => row.as_deref_mut().map(|r| &mut r[pair_minor(pr)]),
         FlowRow::Sparse(map) => map.get_quiet(pr),
     }
@@ -590,8 +544,8 @@ fn flow_quiet<T: Default>(rows: &mut [FlowRow<T>], local: usize, pr: u32) -> Opt
 /// Releases a flow slot (metered). The dense cross-check keeps its slot —
 /// eviction only ever fires on default-state flows, which a dense slot
 /// already reads as.
-fn flow_evict<T: Default>(rows: &mut [FlowRow<T>], local: usize, pr: u32) {
-    match &mut rows[local] {
+fn flow_evict<T: Default>(rows: &mut [FlowRow<T>], pr: u32) {
+    match &mut rows[pair_major(pr)] {
         FlowRow::Dense(_) => {}
         FlowRow::Sparse(map) => map.remove(pr),
     }
@@ -746,7 +700,7 @@ impl Delivery {
     /// Appends flow `pr` at the tail (it has the newest `last_send`).
     fn link_tail(&mut self, pr: u32) {
         let tail = self.to_tail;
-        let flow = flow_quiet(&mut self.tx, pair_major(pr), pr).expect(LIVE);
+        let flow = flow_quiet(&mut self.tx, pr).expect(LIVE);
         debug_assert!(!flow.linked, "double link");
         flow.linked = true;
         flow.prev = tail;
@@ -755,14 +709,14 @@ impl Delivery {
             self.to_head = u64::from(pr);
         } else {
             let t = tail as u32;
-            flow_quiet(&mut self.tx, pair_major(t), t).expect(LIVE).next = u64::from(pr);
+            flow_quiet(&mut self.tx, t).expect(LIVE).next = u64::from(pr);
         }
         self.to_tail = u64::from(pr);
     }
 
     /// Removes flow `pr` from the list.
     fn unlink(&mut self, pr: u32) {
-        let flow = flow_quiet(&mut self.tx, pair_major(pr), pr).expect(LIVE);
+        let flow = flow_quiet(&mut self.tx, pr).expect(LIVE);
         debug_assert!(flow.linked, "unlink of an unlinked flow");
         let (prev, next) = (flow.prev, flow.next);
         flow.linked = false;
@@ -772,13 +726,13 @@ impl Delivery {
             self.to_head = next;
         } else {
             let p = prev as u32;
-            flow_quiet(&mut self.tx, pair_major(p), p).expect(LIVE).next = next;
+            flow_quiet(&mut self.tx, p).expect(LIVE).next = next;
         }
         if next == NONE_LINK {
             self.to_tail = prev;
         } else {
             let n = next as u32;
-            flow_quiet(&mut self.tx, pair_major(n), n).expect(LIVE).prev = prev;
+            flow_quiet(&mut self.tx, n).expect(LIVE).prev = prev;
         }
     }
 
@@ -843,7 +797,7 @@ impl Delivery {
             // counter (tx flows are never evicted, so the slot is live).
             Some(h) if h.kind == E2eKind::Data => {
                 let pr = pair(node, m.dest().index());
-                let flow = flow_edit(&mut self.tx, node, pr).expect("pending copy's flow is live");
+                let flow = flow_edit(&mut self.tx, pr).expect("pending copy's flow is live");
                 debug_assert!(flow.pending_copies > 0, "pop without a push");
                 flow.pending_copies -= 1;
             }
@@ -853,10 +807,10 @@ impl Delivery {
             // pending) is evicted — its slot reads back identically.
             Some(h) if h.kind == E2eKind::Ack => {
                 let pr = pair(node, m.dest().index());
-                let flow = flow_edit(&mut self.rx, node, pr).expect("pending ack's flow is live");
+                let flow = flow_edit(&mut self.rx, pr).expect("pending ack's flow is live");
                 flow.ack_pending = false;
                 if flow.expected == 0 {
-                    flow_evict(&mut self.rx, node, pr);
+                    flow_evict(&mut self.rx, pr);
                 }
             }
             _ => {}
@@ -865,7 +819,7 @@ impl Delivery {
 
     /// Whether flow (src, dst) can take another first transmission.
     pub(crate) fn can_admit(&self, src: usize, dst: usize) -> bool {
-        flow_ref(&self.tx, src, pair(src, dst))
+        flow_ref(&self.tx, pair(src, dst))
             .is_none_or(|flow| flow.unacked.len() < self.config.window)
     }
 
@@ -873,7 +827,7 @@ impl Delivery {
     /// state: nothing advances until [`commit`](Self::commit), so a refused
     /// injection retries with the same sequence number.
     pub(crate) fn stamp(&self, src: usize, dst: usize, msg: &mut Message) {
-        let psn = flow_ref(&self.tx, src, pair(src, dst)).map_or(0, |flow| flow.next_psn);
+        let psn = flow_ref(&self.tx, pair(src, dst)).map_or(0, |flow| flow.next_psn);
         let crc = payload_crc(&msg.words, msg.mtype);
         // The header carries the full node id — no cast, no node-count caveat.
         msg.e2e = Some(E2eHeader::data(NodeId::from_index(src), psn, crc));
@@ -882,7 +836,7 @@ impl Delivery {
     /// Records an accepted first transmission of a stamped message.
     pub(crate) fn commit(&mut self, src: usize, dst: usize, msg: Message, cycle: u64) {
         let pr = pair(src, dst);
-        let flow = flow_mut(&mut self.tx, self.nodes, src, pr);
+        let flow = flow_mut(&mut self.tx, self.nodes, pr);
         let hdr = msg.e2e.expect("committed message is stamped");
         debug_assert_eq!(hdr.psn, flow.next_psn);
         let was_empty = flow.unacked.is_empty();
@@ -897,14 +851,13 @@ impl Delivery {
         if was_empty {
             // First unacked message: the flow joins the timeout list with
             // the newest stamp, i.e. at the tail.
-            debug_assert!(flow_peek(&self.tx, src, pr).is_some_and(|fl| !fl.linked));
+            debug_assert!(flow_peek(&self.tx, pr).is_some_and(|fl| !fl.linked));
             self.link_tail(pr);
         }
     }
 
     /// Collects the pair keys due for a timeout at `cycle`, ascending, and
-    /// the number of flows examined. Shared by [`pump`](Self::pump) and
-    /// [`pump_par`](Self::pump_par) so both modes meter identically.
+    /// the number of flows examined.
     fn collect_due(&mut self, cycle: u64) -> (Vec<u32>, u64) {
         let mut due = std::mem::take(&mut self.due_scratch);
         debug_assert!(due.is_empty());
@@ -945,7 +898,7 @@ impl Delivery {
             while cur != NONE_LINK {
                 examined += 1;
                 let pr = cur as u32;
-                let flow = flow_ref(&self.tx, pair_major(pr), pr).expect(LIVE);
+                let flow = flow_ref(&self.tx, pr).expect(LIVE);
                 debug_assert!(!flow.unacked.is_empty(), "linked flow has no unacked");
                 if cycle.saturating_sub(flow.last_send) < self.config.timeout {
                     break;
@@ -983,161 +936,45 @@ impl Delivery {
         self.scan.skipped_work += dense_cost - examined;
     }
 
-    /// [`pump`](Self::pump), sharded: due-flow collection (and the scan
-    /// meters) stay serial and byte-identical, while the firing of due flows
-    /// is fanned across spatial domains when there are enough of them.
-    /// Sound because a flow's table is source-major (each due flow fires
-    /// entirely inside its source's domain), the due list is ascending by
-    /// pair key (so per-domain chunks are contiguous), and every global
-    /// effect is buffered and replayed in domain order — which *is* the
-    /// serial ascending-key fire order.
-    pub(crate) fn pump_par(&mut self, cycle: u64, bounds: &[usize]) {
-        if self.to_head == NONE_LINK {
-            return;
-        }
-        let dense_cost = (self.nodes * self.nodes) as u64;
-        let (mut due, examined) = self.collect_due(cycle);
-        let domains = bounds.len().saturating_sub(1);
-        if domains < 2 || due.len() < PAR_FIRE_MIN {
-            for &pr in &due {
-                self.fire_timeout(pr, cycle);
-            }
-        } else {
-            // `due` is ascending by pair key and keys are source-major, so
-            // each domain's due flows form one contiguous chunk.
-            let mut chunks: Vec<&[u32]> = Vec::with_capacity(domains);
-            let mut rest: &[u32] = &due;
-            for w in bounds.windows(2) {
-                let cut = rest.partition_point(|&pr| pair_major(pr) < w[1]);
-                let (head, tail) = rest.split_at(cut);
-                chunks.push(head);
-                rest = tail;
-            }
-            debug_assert!(rest.is_empty());
-            let mut tasks: Vec<FireTask<'_>> = self
-                .split_ranges(bounds)
-                .into_iter()
-                .zip(chunks)
-                .map(|(range, chunk)| FireTask { range, chunk })
-                .collect();
-            run_tasks(&mut tasks, |_, t| {
-                for &pr in t.chunk {
-                    t.range.fire_timeout(pr, cycle);
-                }
-            });
-            let deltas: Vec<DeliveryDelta> =
-                tasks.into_iter().map(|t| t.range.into_delta()).collect();
-            self.absorb_deltas(deltas);
-        }
-        due.clear();
-        self.due_scratch = due;
-        self.scan.scanned_flows += examined;
-        self.scan.skipped_work += dense_cost - examined;
-    }
-
-    /// Splits the protocol state into per-domain row views for the parallel
-    /// cycle. Domain `d` of `bounds` owns `tx`/`outbox` rows of its source
-    /// nodes and `rx` rows of its destination nodes.
-    pub(crate) fn split_ranges(&mut self, bounds: &[usize]) -> Vec<DeliveryRange<'_>> {
-        debug_assert_eq!(bounds[0], 0);
-        debug_assert_eq!(*bounds.last().expect("non-empty bounds"), self.nodes);
-        let nodes = self.nodes;
-        let config = self.config;
-        let format = self.format;
-        let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-        let mut tx: &mut [FlowRow<FlowTx>] = self.tx.as_mut_slice();
-        let mut rx: &mut [FlowRow<FlowRx>] = self.rx.as_mut_slice();
-        let mut outbox: &mut [VecDeque<Message>] = self.outbox.as_mut_slice();
-        for w in bounds.windows(2) {
-            let span = w[1] - w[0];
-            let (tx_head, tx_tail) = tx.split_at_mut(span);
-            tx = tx_tail;
-            let (rx_head, rx_tail) = rx.split_at_mut(span);
-            rx = rx_tail;
-            let (ob_head, ob_tail) = outbox.split_at_mut(span);
-            outbox = ob_tail;
-            out.push(DeliveryRange {
-                config,
-                nodes,
-                format,
-                lo: w[0],
-                tx: tx_head,
-                rx: rx_head,
-                outbox: ob_head,
-                delta: DeliveryDelta::default(),
-            });
-        }
-        out
-    }
-
-    /// Replays per-domain deltas, in domain order. Because domains are
-    /// contiguous ascending node ranges and each worker recorded its ops in
-    /// its own visit order, the concatenation is exactly the serial
-    /// ascending-node op sequence — the active-outbox set and the intrusive
-    /// timeout list end up identical to a serial cycle.
-    pub(crate) fn absorb_deltas(&mut self, deltas: impl IntoIterator<Item = DeliveryDelta>) {
-        for d in deltas {
-            self.stats.add(&d.stats);
-            self.outbox_msgs = u64::try_from(self.outbox_msgs as i64 + d.outbox_msgs)
-                .expect("outbox total cannot go negative");
-            self.unacked_msgs = u64::try_from(self.unacked_msgs as i64 + d.unacked_msgs)
-                .expect("unacked total cannot go negative");
-            for &node in &d.active_remove {
-                self.deactivate(node as usize);
-            }
-            for &node in &d.active_add {
-                self.activate(node as usize);
-            }
-            for &(pr, op) in &d.ops {
-                match op {
-                    ListOp::LinkTail => self.link_tail(pr),
-                    ListOp::Unlink => self.unlink(pr),
-                    ListOp::MoveToTail => self.move_to_tail(pr),
-                }
-            }
-        }
-    }
-
     /// One due flow's timeout: requeue the window (go-back-N), or just reset
     /// the timer if the previous round's copies are still queued, or abandon
-    /// once the budget is spent. Lookup-for-lookup identical to the
-    /// [`DeliveryRange`] twin so the probe meter cannot tell them apart.
+    /// once the budget is spent.
     fn fire_timeout(&mut self, pr: u32, cycle: u64) {
         let src = pair_major(pr);
         // Copies from the previous round still await injection: the outbox
         // is congested, not the receiver unresponsive. Reset the timer
         // without burning a budget round.
-        if flow_edit(&mut self.tx, src, pr).expect(LIVE).pending_copies > 0 {
-            flow_edit(&mut self.tx, src, pr).expect(LIVE).last_send = cycle;
+        if flow_edit(&mut self.tx, pr).expect(LIVE).pending_copies > 0 {
+            flow_edit(&mut self.tx, pr).expect(LIVE).last_send = cycle;
             self.move_to_tail(pr);
             return;
         }
         {
-            let flow = flow_edit(&mut self.tx, src, pr).expect(LIVE);
+            let flow = flow_edit(&mut self.tx, pr).expect(LIVE);
             flow.rounds += 1;
             flow.last_send = cycle;
         }
         self.stats.timeout_rounds += 1;
-        if flow_edit(&mut self.tx, src, pr).expect(LIVE).rounds > self.config.retransmit_limit {
+        if flow_edit(&mut self.tx, pr).expect(LIVE).rounds > self.config.retransmit_limit {
             // Budget exhausted: the receiver is unreachable. Abandon the
             // window rather than wedging the machine. The flow slot (and
             // its spent budget) stays live — see the eviction semantics.
-            let len = flow_edit(&mut self.tx, src, pr).expect(LIVE).unacked.len() as u64;
+            let len = flow_edit(&mut self.tx, pr).expect(LIVE).unacked.len() as u64;
             self.stats.abandoned += len;
             self.unacked_msgs -= len;
-            let flow = flow_edit(&mut self.tx, src, pr).expect(LIVE);
+            let flow = flow_edit(&mut self.tx, pr).expect(LIVE);
             flow.unacked.clear();
             flow.rounds = 0;
             self.unlink(pr);
             return;
         }
         // Go-back-N: requeue the whole window.
-        let count = flow_edit(&mut self.tx, src, pr).expect(LIVE).unacked.len();
+        let count = flow_edit(&mut self.tx, pr).expect(LIVE).unacked.len();
         for k in 0..count {
-            let m = flow_edit(&mut self.tx, src, pr).expect(LIVE).unacked[k].1;
+            let m = flow_edit(&mut self.tx, pr).expect(LIVE).unacked[k].1;
             self.outbox_push(src, m);
         }
-        flow_edit(&mut self.tx, src, pr).expect(LIVE).pending_copies += count as u32;
+        flow_edit(&mut self.tx, pr).expect(LIVE).pending_copies += count as u32;
         self.stats.retransmits += count as u64;
         self.move_to_tail(pr);
     }
@@ -1154,8 +991,8 @@ impl Delivery {
         match hdr.kind {
             E2eKind::Ack => RxAction::Consume,
             E2eKind::Data => {
-                let expected = flow_ref(&self.rx, dst, pair(dst, hdr.src.index()))
-                    .map_or(0, |flow| flow.expected);
+                let expected =
+                    flow_ref(&self.rx, pair(dst, hdr.src.index())).map_or(0, |flow| flow.expected);
                 if hdr.psn == expected {
                     RxAction::Deliver
                 } else {
@@ -1169,7 +1006,7 @@ impl Delivery {
     /// cumulative ack.
     pub(crate) fn on_delivered(&mut self, dst: usize, msg: &Message, cycle: u64) {
         let hdr = msg.e2e.expect("delivered message has a header");
-        let flow = flow_mut(&mut self.rx, self.nodes, dst, pair(dst, hdr.src.index()));
+        let flow = flow_mut(&mut self.rx, self.nodes, pair(dst, hdr.src.index()));
         debug_assert_eq!(hdr.psn, flow.expected);
         flow.expected += 1;
         self.stats.delivered_unique += 1;
@@ -1194,7 +1031,7 @@ impl Delivery {
                 // materialise sender state.
                 self.stats.acks_received += 1;
                 let pr = pair(dst, hdr.src.index());
-                let Some(flow) = flow_edit(&mut self.tx, dst, pr) else {
+                let Some(flow) = flow_edit(&mut self.tx, pr) else {
                     return;
                 };
                 let mut progressed = false;
@@ -1217,8 +1054,8 @@ impl Delivery {
                 }
             }
             E2eKind::Data => {
-                let expected = flow_ref(&self.rx, dst, pair(dst, hdr.src.index()))
-                    .map_or(0, |flow| flow.expected);
+                let expected =
+                    flow_ref(&self.rx, pair(dst, hdr.src.index())).map_or(0, |flow| flow.expected);
                 if hdr.psn < expected {
                     self.stats.dup_suppressed += 1;
                 } else {
@@ -1238,14 +1075,14 @@ impl Delivery {
     /// data arrival on a congested outbox would add an ack (an ack flood).
     fn queue_ack(&mut self, receiver: usize, sender: usize) {
         let pr = pair(receiver, sender);
-        let psn = flow_ref(&self.rx, receiver, pr).map_or(0, |f| f.expected);
+        let psn = flow_ref(&self.rx, pr).map_or(0, |f| f.expected);
         // Full node ids end to end: the ack names its flow without casts,
         // and is composed under the machine's wire format.
         let sender_id = NodeId::from_index(sender);
         let mut ack = Message::to_in(self.format, sender_id, [0; 5], MsgType::default());
         let crc = payload_crc(&ack.words, ack.mtype);
         ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
-        if flow_ref(&self.rx, receiver, pr).is_some_and(|f| f.ack_pending) {
+        if flow_ref(&self.rx, pr).is_some_and(|f| f.ack_pending) {
             for m in self.outbox[receiver].iter_mut() {
                 if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
                     // Cumulative: only ever move the acked prefix forward
@@ -1260,320 +1097,9 @@ impl Delivery {
             }
             debug_assert!(false, "ack_pending set but no ack queued");
         }
-        flow_mut(&mut self.rx, self.nodes, receiver, pr).ack_pending = true;
+        flow_mut(&mut self.rx, self.nodes, pr).ack_pending = true;
         self.outbox_push(receiver, ack);
         self.stats.acks_sent += 1;
-    }
-}
-
-// --- parallel-cycle views ----------------------------------------------------
-
-/// A deferred intrusive-timeout-list operation, recorded by a worker in its
-/// visit order and replayed serially by [`Delivery::absorb_deltas`]. Workers
-/// never touch the `prev`/`next`/`linked` links directly — those thread
-/// through tables owned by other domains.
-#[derive(Debug, Clone, Copy)]
-enum ListOp {
-    /// Replays as [`Delivery::link_tail`].
-    LinkTail,
-    /// Replays as [`Delivery::unlink`].
-    Unlink,
-    /// Replays as [`Delivery::move_to_tail`].
-    MoveToTail,
-}
-
-/// The machine-global effects a [`DeliveryRange`] buffered during one
-/// parallel phase, replayed by [`Delivery::absorb_deltas`].
-#[derive(Debug, Default)]
-pub(crate) struct DeliveryDelta {
-    stats: DeliveryStats,
-    /// Net outbox message count change (pops make it negative).
-    outbox_msgs: i64,
-    /// Net unacked message count change (acks/abandons make it negative).
-    unacked_msgs: i64,
-    /// Nodes whose outbox went non-empty this phase. Each phase is monotone
-    /// per node (push-only or pop-only), so a node appears in at most one of
-    /// the two lists, at most once.
-    active_add: Vec<u32>,
-    /// Nodes whose outbox drained empty this phase.
-    active_remove: Vec<u32>,
-    /// Timeout-list operations (pair keys), in this domain's visit order.
-    ops: Vec<(u32, ListOp)>,
-}
-
-/// One spatial domain's due flows plus its protocol rows, for the parallel
-/// fire phase of [`Delivery::pump_par`].
-struct FireTask<'a> {
-    range: DeliveryRange<'a>,
-    chunk: &'a [u32],
-}
-
-/// One spatial domain's mutable view of the protocol state during a parallel
-/// phase: the domain's own `tx`/`outbox` tables (source-major) and `rx`
-/// tables (destination-major), with every machine-global effect buffered in
-/// a [`DeliveryDelta`]. Methods mirror the serial [`Delivery`] entry points
-/// and take the same *global* node indices and pair keys; out-of-domain
-/// indices panic on the slice bounds.
-pub(crate) struct DeliveryRange<'a> {
-    config: DeliveryConfig,
-    nodes: usize,
-    /// The machine's wire format (acks are composed under it).
-    format: WireFormat,
-    /// First node of the domain (row offset of the slices).
-    lo: usize,
-    tx: &'a mut [FlowRow<FlowTx>],
-    rx: &'a mut [FlowRow<FlowRx>],
-    outbox: &'a mut [VecDeque<Message>],
-    delta: DeliveryDelta,
-}
-
-impl DeliveryRange<'_> {
-    /// Local table index of global major node `major` (the node must lie in
-    /// this domain).
-    fn l(&self, major: usize) -> usize {
-        major - self.lo
-    }
-
-    /// Local outbox slot of global node index `node`.
-    fn ob(&self, node: usize) -> usize {
-        node - self.lo
-    }
-
-    /// Surrenders the buffered global effects.
-    pub(crate) fn into_delta(self) -> DeliveryDelta {
-        self.delta
-    }
-
-    /// [`Delivery::outbox_front`] for a node of this domain.
-    pub(crate) fn outbox_front(&self, node: usize) -> Option<&Message> {
-        self.outbox[self.ob(node)].front()
-    }
-
-    /// [`Delivery::outbox_pop`] with the active-set update buffered.
-    pub(crate) fn outbox_pop(&mut self, node: usize) {
-        let ob = self.ob(node);
-        let Some(m) = self.outbox[ob].pop_front() else {
-            return;
-        };
-        self.delta.outbox_msgs -= 1;
-        if self.outbox[ob].is_empty() {
-            self.delta.active_remove.push(node as u32);
-        }
-        match m.e2e {
-            Some(h) if h.kind == E2eKind::Data => {
-                let pr = pair(node, m.dest().index());
-                let local = self.l(node);
-                let flow = flow_edit(self.tx, local, pr).expect("pending copy's flow is live");
-                debug_assert!(flow.pending_copies > 0, "pop without a push");
-                flow.pending_copies -= 1;
-            }
-            Some(h) if h.kind == E2eKind::Ack => {
-                let pr = pair(node, m.dest().index());
-                let local = self.l(node);
-                let flow = flow_edit(self.rx, local, pr).expect("pending ack's flow is live");
-                flow.ack_pending = false;
-                if flow.expected == 0 {
-                    flow_evict(self.rx, local, pr);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// [`Delivery::can_admit`] for a source node of this domain.
-    pub(crate) fn can_admit(&self, src: usize, dst: usize) -> bool {
-        flow_ref(self.tx, self.l(src), pair(src, dst))
-            .is_none_or(|flow| flow.unacked.len() < self.config.window)
-    }
-
-    /// [`Delivery::stamp`] for a source node of this domain.
-    pub(crate) fn stamp(&self, src: usize, dst: usize, msg: &mut Message) {
-        let psn = flow_ref(self.tx, self.l(src), pair(src, dst)).map_or(0, |flow| flow.next_psn);
-        let crc = payload_crc(&msg.words, msg.mtype);
-        // The header carries the full node id — no cast, no node-count caveat.
-        msg.e2e = Some(E2eHeader::data(NodeId::from_index(src), psn, crc));
-    }
-
-    /// [`Delivery::commit`] with the timeout-list link buffered.
-    pub(crate) fn commit(&mut self, src: usize, dst: usize, msg: Message, cycle: u64) {
-        let pr = pair(src, dst);
-        let local = self.l(src);
-        let flow = flow_mut(self.tx, self.nodes, local, pr);
-        let hdr = msg.e2e.expect("committed message is stamped");
-        debug_assert_eq!(hdr.psn, flow.next_psn);
-        let was_empty = flow.unacked.is_empty();
-        if was_empty {
-            flow.last_send = cycle;
-            flow.rounds = 0;
-        }
-        flow.unacked.push_back((hdr.psn, msg));
-        flow.next_psn += 1;
-        self.delta.unacked_msgs += 1;
-        self.delta.stats.accepted += 1;
-        if was_empty {
-            // The pre-phase link flag is trustworthy: only the sender's own
-            // phase commits, and it does so at most once per flow per cycle.
-            debug_assert!(flow_peek(self.tx, local, pr).is_some_and(|fl| !fl.linked));
-            self.delta.ops.push((pr, ListOp::LinkTail));
-        }
-    }
-
-    /// [`Delivery::fire_timeout`] with outbox/list effects buffered,
-    /// lookup-for-lookup identical to the serial twin (tables are static
-    /// during the pump, so the probe meter advances identically whichever
-    /// twin fires).
-    fn fire_timeout(&mut self, pr: u32, cycle: u64) {
-        let src = pair_major(pr);
-        let lf = self.l(src);
-        // Copies from the previous round still await injection: reset the
-        // timer without burning a budget round (see the serial twin).
-        if flow_edit(self.tx, lf, pr).expect(LIVE).pending_copies > 0 {
-            flow_edit(self.tx, lf, pr).expect(LIVE).last_send = cycle;
-            self.delta.ops.push((pr, ListOp::MoveToTail));
-            return;
-        }
-        {
-            let flow = flow_edit(self.tx, lf, pr).expect(LIVE);
-            flow.rounds += 1;
-            flow.last_send = cycle;
-        }
-        self.delta.stats.timeout_rounds += 1;
-        if flow_edit(self.tx, lf, pr).expect(LIVE).rounds > self.config.retransmit_limit {
-            let len = flow_edit(self.tx, lf, pr).expect(LIVE).unacked.len() as u64;
-            self.delta.stats.abandoned += len;
-            self.delta.unacked_msgs -= len as i64;
-            let flow = flow_edit(self.tx, lf, pr).expect(LIVE);
-            flow.unacked.clear();
-            flow.rounds = 0;
-            self.delta.ops.push((pr, ListOp::Unlink));
-            return;
-        }
-        // Go-back-N: requeue the whole window.
-        let count = flow_edit(self.tx, lf, pr).expect(LIVE).unacked.len();
-        for k in 0..count {
-            let m = flow_edit(self.tx, lf, pr).expect(LIVE).unacked[k].1;
-            self.outbox_push_local(src, m);
-        }
-        flow_edit(self.tx, lf, pr).expect(LIVE).pending_copies += count as u32;
-        self.delta.stats.retransmits += count as u64;
-        self.delta.ops.push((pr, ListOp::MoveToTail));
-    }
-
-    /// [`Delivery::rx_action`] for a destination node of this domain.
-    pub(crate) fn rx_action(&self, dst: usize, msg: &Message) -> RxAction {
-        let hdr = msg.e2e.expect("rx_action on a protocol message");
-        if payload_crc(&msg.words, msg.mtype) != hdr.crc {
-            return RxAction::Consume;
-        }
-        match hdr.kind {
-            E2eKind::Ack => RxAction::Consume,
-            E2eKind::Data => {
-                let expected = flow_ref(self.rx, self.l(dst), pair(dst, hdr.src.index()))
-                    .map_or(0, |flow| flow.expected);
-                if hdr.psn == expected {
-                    RxAction::Deliver
-                } else {
-                    RxAction::Consume
-                }
-            }
-        }
-    }
-
-    /// [`Delivery::on_delivered`] for a destination node of this domain.
-    pub(crate) fn on_delivered(&mut self, dst: usize, msg: &Message, cycle: u64) {
-        let hdr = msg.e2e.expect("delivered message has a header");
-        let local = self.l(dst);
-        let flow = flow_mut(self.rx, self.nodes, local, pair(dst, hdr.src.index()));
-        debug_assert_eq!(hdr.psn, flow.expected);
-        flow.expected += 1;
-        self.delta.stats.delivered_unique += 1;
-        let _ = cycle;
-        self.queue_ack(dst, hdr.src.index());
-    }
-
-    /// [`Delivery::on_consumed`] for a destination node of this domain. The
-    /// ack branch touches `tx[dst]` — `dst` is the flow's *sender*
-    /// receiving the ack, so the table is source-major and local.
-    pub(crate) fn on_consumed(&mut self, dst: usize, msg: &Message, cycle: u64) {
-        let hdr = msg.e2e.expect("consumed message has a header");
-        if payload_crc(&msg.words, msg.mtype) != hdr.crc {
-            self.delta.stats.corrupt_dropped += 1;
-            return;
-        }
-        match hdr.kind {
-            E2eKind::Ack => {
-                self.delta.stats.acks_received += 1;
-                let pr = pair(dst, hdr.src.index());
-                let local = self.l(dst);
-                let Some(flow) = flow_edit(self.tx, local, pr) else {
-                    return;
-                };
-                let mut progressed = false;
-                while flow.unacked.front().is_some_and(|&(psn, _)| psn < hdr.psn) {
-                    flow.unacked.pop_front();
-                    self.delta.unacked_msgs -= 1;
-                    progressed = true;
-                }
-                if progressed {
-                    flow.rounds = 0;
-                    flow.last_send = cycle;
-                    if flow.unacked.is_empty() {
-                        self.delta.ops.push((pr, ListOp::Unlink));
-                    } else {
-                        self.delta.ops.push((pr, ListOp::MoveToTail));
-                    }
-                }
-            }
-            E2eKind::Data => {
-                let expected = flow_ref(self.rx, self.l(dst), pair(dst, hdr.src.index()))
-                    .map_or(0, |flow| flow.expected);
-                if hdr.psn < expected {
-                    self.delta.stats.dup_suppressed += 1;
-                } else {
-                    self.delta.stats.out_of_order_dropped += 1;
-                }
-                self.queue_ack(dst, hdr.src.index());
-            }
-        }
-    }
-
-    /// [`Delivery::queue_ack`] with outbox effects buffered.
-    fn queue_ack(&mut self, receiver: usize, sender: usize) {
-        let pr = pair(receiver, sender);
-        let local = self.l(receiver);
-        let psn = flow_ref(self.rx, local, pr).map_or(0, |f| f.expected);
-        // Full node ids end to end: the ack names its flow without casts,
-        // and is composed under the machine's wire format.
-        let sender_id = NodeId::from_index(sender);
-        let mut ack = Message::to_in(self.format, sender_id, [0; 5], MsgType::default());
-        let crc = payload_crc(&ack.words, ack.mtype);
-        ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
-        if flow_ref(self.rx, local, pr).is_some_and(|f| f.ack_pending) {
-            let ob = self.ob(receiver);
-            for m in self.outbox[ob].iter_mut() {
-                if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
-                    if m.e2e.expect("matched above").psn <= psn {
-                        *m = ack;
-                    }
-                    self.delta.stats.acks_coalesced += 1;
-                    return;
-                }
-            }
-            debug_assert!(false, "ack_pending set but no ack queued");
-        }
-        flow_mut(self.rx, self.nodes, local, pr).ack_pending = true;
-        self.outbox_push_local(receiver, ack);
-        self.delta.stats.acks_sent += 1;
-    }
-
-    /// [`Delivery::outbox_push`] with the active-set update buffered.
-    fn outbox_push_local(&mut self, node: usize, msg: Message) {
-        let ob = self.ob(node);
-        self.outbox[ob].push_back(msg);
-        self.delta.outbox_msgs += 1;
-        if self.outbox[ob].len() == 1 {
-            self.delta.active_add.push(node as u32);
-        }
     }
 }
 
@@ -1601,7 +1127,7 @@ mod tests {
         /// drivers (unmetered, so paired runs meter identically even when
         /// only one of them calls this).
         fn unacked_front(&self, src: usize, dst: usize) -> Option<(u32, Message)> {
-            flow_peek(&self.tx, src, pair(src, dst)).and_then(|fl| fl.unacked.front().copied())
+            flow_peek(&self.tx, pair(src, dst)).and_then(|fl| fl.unacked.front().copied())
         }
 
         /// The active-outbox set, sorted (the live set is order-free).
@@ -1961,81 +1487,5 @@ mod tests {
         assert_eq!(hot_order, dense_order, "outbox drain order must match");
         assert!(hot.retransmits > 0, "the scenario exercised timeouts");
         assert!(hot.abandoned > 0, "the scenario exercised abandons");
-    }
-
-    /// The parallel pump (serial due collection, sharded firing, delta
-    /// replay) must be bit-identical to the serial pump — counters, outbox
-    /// drain order, active set, and scan meters alike.
-    #[test]
-    fn parallel_pump_matches_serial_pump() {
-        let cfg = DeliveryConfig {
-            window: 4,
-            timeout: 8,
-            retransmit_limit: 3,
-        };
-        let nodes = 8usize;
-        let bounds = [0usize, 3, 5, 8];
-        let run = |par: bool| -> (DeliveryStats, ScanStats, Vec<(usize, u32, u32)>, Vec<u32>) {
-            let mut d = Delivery::new(nodes, cfg, WireFormat::Compact, false);
-            let mut drained = Vec::new();
-            // A burst across every source domain so one pump sees well over
-            // PAR_FIRE_MIN due flows at once (the parallel fire path).
-            for src in 0..nodes {
-                for dst in [(src + 1) % nodes, (src + 3) % nodes] {
-                    let mut m = data(dst as u16, (src * nodes + dst) as u32);
-                    d.stamp(src, dst, &mut m);
-                    d.commit(src, dst, m, 0);
-                }
-            }
-            let mut x = 0xdead_beef_cafe_f00du64;
-            for cycle in 0..400u64 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let src = ((x >> 33) % nodes as u64) as usize;
-                let dst = ((x >> 13) % nodes as u64) as usize;
-                if src != dst && d.can_admit(src, dst) && cycle % 3 == 0 {
-                    let mut m = data(dst as u16, cycle as u32);
-                    d.stamp(src, dst, &mut m);
-                    d.commit(src, dst, m, cycle);
-                }
-                if par {
-                    d.pump_par(cycle, &bounds);
-                } else {
-                    d.pump(cycle);
-                }
-                let node = (cycle % nodes as u64) as usize;
-                if let Some(m) = d.outbox_front(node).copied() {
-                    let h = m.e2e.unwrap();
-                    drained.push((node, m.dest().index() as u32, h.psn));
-                    d.outbox_pop(node);
-                }
-                if cycle % 7 == 0 {
-                    let sender = ((x >> 49) % nodes as u64) as usize;
-                    let acker = ((x >> 41) % nodes as u64) as usize;
-                    if sender != acker {
-                        if let Some((psn, _)) = d.unacked_front(sender, acker) {
-                            let mut ack =
-                                Message::to(NodeId::from_index(sender), [0; 5], MsgType::default());
-                            let crc = payload_crc(&ack.words, ack.mtype);
-                            ack.e2e = Some(E2eHeader::ack(NodeId::from_index(acker), psn + 1, crc));
-                            d.on_consumed(sender, &ack, cycle);
-                        }
-                    }
-                }
-            }
-            (d.stats(), d.scan_stats(), drained, d.active_sorted())
-        };
-        // Force helper threads so the sharded path really runs concurrently.
-        tcni_util::par::set_threads(3);
-        let (ps, pscan, porder, pactive) = run(true);
-        tcni_util::par::set_threads(0);
-        let (ss, sscan, sorder, sactive) = run(false);
-        assert_eq!(ss, ps, "protocol counters must be bit-identical");
-        assert_eq!(sscan, pscan, "scan meters must be bit-identical");
-        assert_eq!(sorder, porder, "outbox drain order must match");
-        assert_eq!(sactive, pactive, "active-outbox set must match");
-        assert!(ss.retransmits > 0, "the scenario exercised timeouts");
-        assert!(ss.abandoned > 0, "the scenario exercised abandons");
     }
 }

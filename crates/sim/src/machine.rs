@@ -7,17 +7,12 @@ use tcni_core::{CollectiveOp, FeatureLevel, Message, NiConfig, NodeId, WireForma
 use tcni_cpu::{StepOutcome, TimingConfig};
 use tcni_isa::{MsgType, Program};
 use tcni_net::{
-    CombiningTree, Fabric, FabricConfig, FabricRange, FabricRangeDelta, FabricTickScratch,
-    FaultConfig, FaultRange, FaultRangeDelta, FaultyFabric, FullyConnected, IdealNetwork,
+    CombiningTree, Fabric, FabricConfig, FaultConfig, FaultyFabric, FullyConnected, IdealNetwork,
     InjectError, NetStats, Network, NetworkKind, Topology as _, TopologyKind,
 };
-use tcni_util::par::{domain_bounds, run_tasks};
 
-use crate::collective::{CollDelta, CollRange, Collective, CollectiveStats};
-use crate::delivery::{
-    Delivery, DeliveryConfig, DeliveryDelta, DeliveryRange, DeliveryStats, RxAction,
-    DENSE_FLOWS_MAX_NODES,
-};
+use crate::collective::{Collective, CollectiveStats};
+use crate::delivery::{Delivery, DeliveryConfig, DeliveryStats, RxAction, DENSE_FLOWS_MAX_NODES};
 use crate::driver::CycleDriver;
 use crate::model::{Model, NiMapping};
 use crate::node::Node;
@@ -301,10 +296,6 @@ pub struct Machine {
     /// refresh after `node_mut`, every driven cycle); the injection phase
     /// only pays the O(nodes) latch scan while this is set.
     coll_poll: bool,
-    /// Worker count for the sharded cycle: `0` follows the process-wide
-    /// setting ([`tcni_util::par::threads`], i.e. `TCNI_THREADS`); any other
-    /// value overrides it for this machine.
-    par_threads: usize,
 }
 
 impl Machine {
@@ -519,22 +510,6 @@ impl Machine {
     /// Whether the dense-scan cross-check is enabled.
     pub fn dense_scan(&self) -> bool {
         self.dense_scan
-    }
-
-    /// Overrides the worker count of the sharded cycle for this machine:
-    /// `0` (the default) follows the process-wide setting
-    /// ([`tcni_util::par::threads`], i.e. the `TCNI_THREADS` environment
-    /// variable), `1` forces the serial cycle, `n ≥ 2` shards the cycle
-    /// across `n` spatial domains. The cycle-by-cycle results are
-    /// bit-identical at any setting — parallelism is an implementation
-    /// detail — which the equivalence suites verify.
-    pub fn set_par_threads(&mut self, n: usize) {
-        self.par_threads = n;
-    }
-
-    /// The per-machine worker-count override (`0` = process-wide setting).
-    pub fn par_threads(&self) -> usize {
-        self.par_threads
     }
 
     /// Cycles that were fast-forwarded (charged in bulk rather than stepped)
@@ -1071,266 +1046,6 @@ impl Machine {
         }
     }
 
-    /// Builds the spatial-decomposition plan for the sharded cycle, or
-    /// `None` when this machine must step serially. Eligibility: a mesh
-    /// fabric — bare or fault-wrapped ([`FaultRange`] reproduces the
-    /// per-node fault streams domain by domain) — observability off
-    /// (per-link counters and the span collector are serial-only), the
-    /// dense-scan cross-check off, at least two nodes, and an effective
-    /// worker count of at least two.
-    fn make_par_plan(&self) -> Option<ParPlan> {
-        if self.obs.is_some() || self.dense_scan || self.nodes.len() < 2 {
-            return None;
-        }
-        let mesh = match &self.net {
-            NetworkKind::Fabric(m) => m,
-            NetworkKind::Faulty(f) => f.inner().as_fabric()?,
-            NetworkKind::Ideal(_) => return None,
-        };
-        if mesh.observe() {
-            return None;
-        }
-        let workers = if self.par_threads > 0 {
-            self.par_threads
-        } else {
-            tcni_util::par::threads()
-        };
-        if workers < 2 {
-            return None;
-        }
-        // Domains are carved over *mesh* slots (routing can cross slots
-        // beyond the last machine node); the machine-side phases use the
-        // same boundaries clamped to the node count — machine nodes are a
-        // prefix of the mesh slots.
-        let bounds = domain_bounds(mesh.node_count(), workers);
-        if bounds.len() < 3 {
-            return None;
-        }
-        let n = self.nodes.len();
-        let mbounds: Vec<usize> = bounds.iter().map(|&b| b.min(n)).collect();
-        Some(ParPlan {
-            bounds,
-            mbounds,
-            scratch: FabricTickScratch::new(),
-            run_acc: Vec::new(),
-            drain_acc: Vec::new(),
-        })
-    }
-
-    /// One full cycle, sharded across spatial domains — bit-identical to
-    /// [`step_once`](Self::step_once) at any worker count.
-    ///
-    /// Each domain owns a contiguous node range: its processors, interfaces,
-    /// mesh channels, and delivery rows. Region A runs the processor phase
-    /// and the injection phase per domain (all cross-node effects — fabric
-    /// counters, frontier marks, delivery lists, trace events — are buffered
-    /// per domain and replayed in domain order, which *is* the serial
-    /// ascending-node order). The fabric then ticks via
-    /// [`Fabric::tick_domains`], and region B runs the ejection phase the
-    /// same way. The observability path is excluded by
-    /// [`make_par_plan`](Self::make_par_plan), so only `TRACED`/`E2E`
-    /// instantiations exist.
-    fn cycle_par<const TRACED: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        plan: &mut ParPlan,
-    ) -> (bool, bool) {
-        let cycle = self.cycle;
-        let domains = plan.mbounds.len() - 1;
-        // Phase-2 prologue, in the serial order: latched collective
-        // requests feed the engine (serially — contributions are sparse,
-        // driver-latched stimuli), due timeouts fire so the copies contend
-        // for this cycle's injection slots, then the outbox active lists
-        // are snapshotted (injection pops edit the live lists mid-walk).
-        if COLL {
-            self.drain_coll_requests();
-        }
-        let mut ob = std::mem::take(&mut self.outbox_scan);
-        ob.clear();
-        if E2E {
-            let del = self.delivery.as_mut().expect("E2E implies delivery");
-            del.pump_par(cycle, &plan.mbounds);
-            ob.extend(del.outbox_nodes().iter().map(|&n| n as usize));
-            // The active set is unordered (O(1) maintenance); the injection
-            // merge needs ascending node order.
-            ob.sort_unstable();
-        }
-        let mut cob = std::mem::take(&mut self.coll_scan);
-        cob.clear();
-        if COLL {
-            let coll = self.collective.as_ref().expect("COLL implies engine");
-            cob.extend(coll.outbox_nodes().iter().map(|&n| n as usize));
-        }
-
-        // --- Region A: processors execute, interfaces inject ----------------
-        let mut all_stalled = true;
-        let mut changed = false;
-        let mut net_deltas: Vec<ParNetDelta> = Vec::with_capacity(domains);
-        let mut del_deltas: Vec<DeliveryDelta> = Vec::with_capacity(domains);
-        let mut coll_deltas: Vec<CollDelta> = Vec::with_capacity(domains);
-        let mut cpu_events: Vec<TraceEvent> = Vec::new();
-        let mut sent_events: Vec<TraceEvent> = Vec::new();
-        plan.run_acc.clear();
-        plan.drain_acc.clear();
-        {
-            let running_parts = partition_sorted(&self.running, &plan.mbounds);
-            let draining_parts = partition_sorted(&self.draining, &plan.mbounds);
-            let ob_parts = partition_sorted(&ob, &plan.mbounds);
-            let cob_parts = partition_sorted(&cob, &plan.mbounds);
-            let node_parts = split_by_bounds(self.nodes.as_mut_slice(), &plan.mbounds);
-            let net_ranges = split_net(&mut self.net, &plan.bounds);
-            let del_ranges = split_delivery(self.delivery.as_mut(), E2E, &plan.mbounds, domains);
-            let coll_ranges =
-                split_collective(self.collective.as_mut(), COLL, &plan.mbounds, domains);
-            let mut tasks: Vec<RegionATask<'_>> = node_parts
-                .into_iter()
-                .zip(net_ranges)
-                .zip(del_ranges)
-                .zip(coll_ranges)
-                .zip(running_parts)
-                .zip(draining_parts)
-                .zip(ob_parts)
-                .zip(cob_parts)
-                .zip(plan.mbounds.windows(2))
-                .map(
-                    |(
-                        (((((((nodes, net), del), coll), running), draining), outbox), coll_outbox),
-                        w,
-                    )| {
-                        RegionATask {
-                            lo: w[0],
-                            nodes,
-                            net,
-                            del,
-                            coll,
-                            running,
-                            draining,
-                            outbox,
-                            coll_outbox,
-                            all_stalled: true,
-                            changed: false,
-                            new_running: Vec::new(),
-                            new_draining: Vec::new(),
-                            cpu_events: Vec::new(),
-                            sent_events: Vec::new(),
-                        }
-                    },
-                )
-                .collect();
-            run_tasks(&mut tasks, |_, t| region_a::<TRACED, E2E, COLL>(cycle, t));
-            for t in tasks {
-                all_stalled &= t.all_stalled;
-                changed |= t.changed;
-                net_deltas.push(t.net.into_delta());
-                if let Some(d) = t.del {
-                    del_deltas.push(d.into_delta());
-                }
-                if let Some(c) = t.coll {
-                    coll_deltas.push(c.into_delta());
-                }
-                plan.run_acc.extend_from_slice(&t.new_running);
-                plan.drain_acc.extend_from_slice(&t.new_draining);
-                if TRACED {
-                    cpu_events.extend(t.cpu_events);
-                    sent_events.extend(t.sent_events);
-                }
-            }
-        }
-        std::mem::swap(&mut self.running, &mut plan.run_acc);
-        std::mem::swap(&mut self.draining, &mut plan.drain_acc);
-        absorb_net_inject(&mut self.net, net_deltas);
-        if E2E {
-            let del = self.delivery.as_mut().expect("E2E implies delivery");
-            del.absorb_deltas(del_deltas);
-        }
-        if COLL {
-            let coll = self.collective.as_mut().expect("COLL implies engine");
-            coll.absorb_deltas(coll_deltas);
-        }
-        if TRACED {
-            if let Some(t) = self.trace.as_mut() {
-                // Serial order within a cycle: processor-phase events
-                // (Halted/Faulted), then injection-phase events (Sent) —
-                // each ascending by node because domains are ascending.
-                for e in cpu_events.drain(..) {
-                    t.record(e);
-                }
-                for e in sent_events.drain(..) {
-                    t.record(e);
-                }
-            }
-        }
-
-        // --- Phase 3: the fabric advances, domain-sliced ---------------------
-        tick_net_domains(&mut self.net, &plan.bounds, &mut plan.scratch);
-
-        // --- Region B: network → interfaces ----------------------------------
-        if self.net.in_flight() > 0 {
-            let mut net_deltas: Vec<ParNetDelta> = Vec::with_capacity(domains);
-            let mut del_deltas: Vec<DeliveryDelta> = Vec::with_capacity(domains);
-            let mut coll_deltas: Vec<CollDelta> = Vec::with_capacity(domains);
-            let mut events: Vec<TraceEvent> = Vec::new();
-            {
-                let node_parts = split_by_bounds(self.nodes.as_mut_slice(), &plan.mbounds);
-                let net_ranges = split_net(&mut self.net, &plan.bounds);
-                let del_ranges =
-                    split_delivery(self.delivery.as_mut(), E2E, &plan.mbounds, domains);
-                let coll_ranges =
-                    split_collective(self.collective.as_mut(), COLL, &plan.mbounds, domains);
-                let mut tasks: Vec<RegionBTask<'_>> = node_parts
-                    .into_iter()
-                    .zip(net_ranges)
-                    .zip(del_ranges)
-                    .zip(coll_ranges)
-                    .zip(plan.mbounds.windows(2))
-                    .map(|((((nodes, net), del), coll), w)| RegionBTask {
-                        lo: w[0],
-                        hi: w[1],
-                        nodes,
-                        net,
-                        del,
-                        coll,
-                        changed: false,
-                        events: Vec::new(),
-                    })
-                    .collect();
-                run_tasks(&mut tasks, |_, t| region_b::<TRACED, E2E, COLL>(cycle, t));
-                for t in tasks {
-                    changed |= t.changed;
-                    net_deltas.push(t.net.into_delta());
-                    if let Some(d) = t.del {
-                        del_deltas.push(d.into_delta());
-                    }
-                    if let Some(c) = t.coll {
-                        coll_deltas.push(c.into_delta());
-                    }
-                    if TRACED {
-                        events.extend(t.events);
-                    }
-                }
-            }
-            absorb_net_eject(&mut self.net, net_deltas);
-            if E2E {
-                let del = self.delivery.as_mut().expect("E2E implies delivery");
-                del.absorb_deltas(del_deltas);
-            }
-            if COLL {
-                let coll = self.collective.as_mut().expect("COLL implies engine");
-                coll.absorb_deltas(coll_deltas);
-            }
-            if TRACED {
-                if let Some(t) = self.trace.as_mut() {
-                    for e in events.drain(..) {
-                        t.record(e);
-                    }
-                }
-            }
-        }
-        self.outbox_scan = ob;
-        self.coll_scan = cob;
-        self.cycle += 1;
-        (all_stalled, changed)
-    }
-
     /// Whether every processor has stopped and all message state is empty
     /// (including the delivery protocol's retransmission buffers, if any).
     pub fn is_quiescent(&self) -> bool {
@@ -1374,38 +1089,30 @@ impl Machine {
         max_cycles: u64,
     ) -> RunOutcome {
         let limit = self.cycle.saturating_add(max_cycles);
-        let mut plan = self.make_par_plan();
         while self.cycle < limit {
             let go_on = driver.on_cycle(self.cycle, &mut self.nodes);
             // The driver may have queued messages on (or stopped draining)
             // any node, including stopped ones.
             self.refresh_lists();
-            match plan.as_mut() {
-                Some(p) => {
-                    self.cycle_par::<TRACED, E2E, COLL>(p);
-                }
-                None => {
-                    let cycle = self.cycle;
-                    self.step_cpus::<TRACED, OBS>();
-                    if OBS {
-                        // The driver's interface operations bypass `step_cpus`'s
-                        // per-node depth mirroring (it only visits running nodes);
-                        // re-mirror every node so enqueues and dispatches performed
-                        // by the driver are stamped. Nodes already mirrored this
-                        // cycle see unchanged depths — a no-op.
-                        for i in 0..self.nodes.len() {
-                            let ni = self.nodes[i].ni();
-                            let out_len = ni.output_len();
-                            let in_depth = ni.input_len() + usize::from(ni.msg_valid());
-                            if let Some(o) = self.obs.as_mut() {
-                                o.after_cpu_node(i, out_len, in_depth, cycle);
-                            }
-                        }
+            let cycle = self.cycle;
+            self.step_cpus::<TRACED, OBS>();
+            if OBS {
+                // The driver's interface operations bypass `step_cpus`'s
+                // per-node depth mirroring (it only visits running nodes);
+                // re-mirror every node so enqueues and dispatches performed
+                // by the driver are stamped. Nodes already mirrored this
+                // cycle see unchanged depths — a no-op.
+                for i in 0..self.nodes.len() {
+                    let ni = self.nodes[i].ni();
+                    let out_len = ni.output_len();
+                    let in_depth = ni.input_len() + usize::from(ni.msg_valid());
+                    if let Some(o) = self.obs.as_mut() {
+                        o.after_cpu_node(i, out_len, in_depth, cycle);
                     }
-                    self.step_network::<TRACED, OBS, E2E, COLL>();
-                    self.cycle += 1;
                 }
             }
+            self.step_network::<TRACED, OBS, E2E, COLL>();
+            self.cycle += 1;
             if !go_on {
                 return RunOutcome::DriverStopped;
             }
@@ -1418,7 +1125,6 @@ impl Machine {
         max_cycles: u64,
     ) -> RunOutcome {
         let limit = self.cycle.saturating_add(max_cycles);
-        let mut plan = self.make_par_plan();
         while self.cycle < limit {
             if self.running.is_empty() {
                 if self.is_quiescent() {
@@ -1445,13 +1151,7 @@ impl Machine {
                 }
                 return RunOutcome::StoppedWithTraffic;
             }
-            let (all_stalled, changed) = match plan.as_mut() {
-                // The sharded cycle is bit-identical to `step_once`, so
-                // mixing it with serial cycles (the drain branch above, the
-                // fast-forward below) is safe.
-                Some(p) => self.cycle_par::<TRACED, E2E, COLL>(p),
-                None => self.step_once::<TRACED, OBS, E2E, COLL>(),
-            };
+            let (all_stalled, changed) = self.step_once::<TRACED, OBS, E2E, COLL>();
             if self.skip_ahead && all_stalled && !changed && !self.running.is_empty() {
                 self.fast_forward::<TRACED, OBS, E2E, COLL>(limit);
             }
@@ -1460,527 +1160,6 @@ impl Machine {
             RunOutcome::Quiescent
         } else {
             RunOutcome::CycleLimit
-        }
-    }
-}
-
-/// Spatial-decomposition plan for [`Machine::cycle_par`], built once per run
-/// entry (see [`Machine::make_par_plan`]).
-struct ParPlan {
-    /// Domain boundaries over mesh slots (drives the fabric phases; routing
-    /// can cross slots beyond the last machine node).
-    bounds: Vec<usize>,
-    /// The same boundaries clamped to the machine's node count (drives the
-    /// processor, interface, and delivery phases).
-    mbounds: Vec<usize>,
-    /// Reusable fabric-tick workspace.
-    scratch: FabricTickScratch,
-    /// Reusable accumulators for the rebuilt running/draining lists.
-    run_acc: Vec<usize>,
-    drain_acc: Vec<usize>,
-}
-
-/// One domain's slice of machine state for region A of the sharded cycle
-/// (processors execute, interfaces inject).
-struct RegionATask<'a> {
-    /// First node of the domain.
-    lo: usize,
-    nodes: &'a mut [Node],
-    net: ParNetRange<'a>,
-    del: Option<DeliveryRange<'a>>,
-    coll: Option<CollRange<'a>>,
-    /// This domain's slices of the machine's sorted hot lists.
-    running: &'a [usize],
-    draining: &'a [usize],
-    outbox: &'a [usize],
-    coll_outbox: &'a [usize],
-    /// Outputs, merged in domain order by the caller.
-    all_stalled: bool,
-    changed: bool,
-    new_running: Vec<usize>,
-    new_draining: Vec<usize>,
-    cpu_events: Vec<TraceEvent>,
-    sent_events: Vec<TraceEvent>,
-}
-
-/// One domain's slice of machine state for region B of the sharded cycle
-/// (network → interfaces).
-struct RegionBTask<'a> {
-    lo: usize,
-    hi: usize,
-    nodes: &'a mut [Node],
-    net: ParNetRange<'a>,
-    del: Option<DeliveryRange<'a>>,
-    coll: Option<CollRange<'a>>,
-    changed: bool,
-    events: Vec<TraceEvent>,
-}
-
-/// A domain's view of the fabric for the sharded cycle: either a bare
-/// fabric range or a fault-layer range wrapping one. Same entry points
-/// either way, so the region bodies are fabric-agnostic.
-// Built fresh per domain per cycle on the sharded hot path; boxing the
-// fault variant would trade a stack copy for a per-cycle allocation.
-#[allow(clippy::large_enum_variant)]
-enum ParNetRange<'a> {
-    Fabric(FabricRange<'a>),
-    Faulty(FaultRange<'a>),
-}
-
-impl ParNetRange<'_> {
-    fn node_count(&self) -> usize {
-        match self {
-            ParNetRange::Fabric(m) => m.node_count(),
-            ParNetRange::Faulty(f) => f.node_count(),
-        }
-    }
-
-    fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        match self {
-            ParNetRange::Fabric(m) => m.inject(src, msg),
-            ParNetRange::Faulty(f) => f.inject(src, msg),
-        }
-    }
-
-    fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        match self {
-            ParNetRange::Fabric(m) => m.peek_eject(dst),
-            ParNetRange::Faulty(f) => f.peek_eject(dst),
-        }
-    }
-
-    fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        match self {
-            ParNetRange::Fabric(m) => m.eject(dst),
-            ParNetRange::Faulty(f) => f.eject(dst),
-        }
-    }
-
-    fn into_delta(self) -> ParNetDelta {
-        match self {
-            ParNetRange::Fabric(m) => ParNetDelta::Fabric(m.into_delta()),
-            ParNetRange::Faulty(f) => ParNetDelta::Faulty(f.into_delta()),
-        }
-    }
-}
-
-/// The buffered per-domain fabric effects matching [`ParNetRange`].
-enum ParNetDelta {
-    Fabric(FabricRangeDelta),
-    Faulty(FaultRangeDelta),
-}
-
-/// Splits the fabric into per-domain ranges for one sharded region. The plan
-/// guarantees a switched-fabric base (bare or fault-wrapped).
-fn split_net<'a>(net: &'a mut NetworkKind, bounds: &[usize]) -> Vec<ParNetRange<'a>> {
-    match net {
-        NetworkKind::Fabric(m) => m
-            .split_node_ranges(bounds)
-            .into_iter()
-            .map(ParNetRange::Fabric)
-            .collect(),
-        NetworkKind::Faulty(f) => f
-            .split_fault_ranges(bounds)
-            .into_iter()
-            .map(ParNetRange::Faulty)
-            .collect(),
-        NetworkKind::Ideal(_) => unreachable!("the plan implies a switched fabric"),
-    }
-}
-
-/// Absorbs region-A (injection-side) fabric deltas in domain order.
-fn absorb_net_inject(net: &mut NetworkKind, deltas: Vec<ParNetDelta>) {
-    match net {
-        NetworkKind::Fabric(m) => m.absorb_inject_deltas(deltas.into_iter().map(|d| match d {
-            ParNetDelta::Fabric(d) => d,
-            ParNetDelta::Faulty(_) => unreachable!("delta kind follows the fabric kind"),
-        })),
-        NetworkKind::Faulty(f) => f.absorb_inject_deltas(deltas.into_iter().map(|d| match d {
-            ParNetDelta::Faulty(d) => d,
-            ParNetDelta::Fabric(_) => unreachable!("delta kind follows the fabric kind"),
-        })),
-        NetworkKind::Ideal(_) => unreachable!("the plan implies a switched fabric"),
-    }
-}
-
-/// Absorbs region-B (ejection-side) fabric deltas in domain order.
-fn absorb_net_eject(net: &mut NetworkKind, deltas: Vec<ParNetDelta>) {
-    match net {
-        NetworkKind::Fabric(m) => m.absorb_eject_deltas(deltas.into_iter().map(|d| match d {
-            ParNetDelta::Fabric(d) => d,
-            ParNetDelta::Faulty(_) => unreachable!("delta kind follows the fabric kind"),
-        })),
-        NetworkKind::Faulty(f) => f.absorb_eject_deltas(deltas.into_iter().map(|d| match d {
-            ParNetDelta::Faulty(d) => d,
-            ParNetDelta::Fabric(_) => unreachable!("delta kind follows the fabric kind"),
-        })),
-        NetworkKind::Ideal(_) => unreachable!("the plan implies a switched fabric"),
-    }
-}
-
-/// Advances the fabric one cycle, domain-sliced (serial-equivalent: see the
-/// fabric-level `tick_domains` contracts).
-fn tick_net_domains(net: &mut NetworkKind, bounds: &[usize], scratch: &mut FabricTickScratch) {
-    match net {
-        NetworkKind::Fabric(m) => m.tick_domains(bounds, scratch),
-        NetworkKind::Faulty(f) => f.tick_domains(bounds, scratch),
-        NetworkKind::Ideal(_) => unreachable!("the plan implies a switched fabric"),
-    }
-}
-
-/// Splits a sorted node-index list into per-domain subslices (contiguous
-/// because domains are contiguous ascending node ranges).
-fn partition_sorted<'a>(list: &'a [usize], mbounds: &[usize]) -> Vec<&'a [usize]> {
-    let mut out = Vec::with_capacity(mbounds.len().saturating_sub(1));
-    let mut rest = list;
-    for w in mbounds.windows(2) {
-        let cut = rest.partition_point(|&i| i < w[1]);
-        let (head, tail) = rest.split_at(cut);
-        out.push(head);
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty(), "list entry beyond the last domain");
-    out
-}
-
-/// Splits the node array into per-domain mutable chunks.
-fn split_by_bounds<'a>(nodes: &'a mut [Node], mbounds: &[usize]) -> Vec<&'a mut [Node]> {
-    let mut out = Vec::with_capacity(mbounds.len().saturating_sub(1));
-    let mut rest = nodes;
-    for w in mbounds.windows(2) {
-        let r = rest;
-        let (head, tail) = r.split_at_mut(w[1] - w[0]);
-        out.push(head);
-        rest = tail;
-    }
-    out
-}
-
-/// Per-domain delivery views when the protocol is on, `None` placeholders
-/// otherwise (so the zip in `cycle_par` stays uniform).
-fn split_delivery<'a>(
-    del: Option<&'a mut Delivery>,
-    e2e: bool,
-    mbounds: &[usize],
-    domains: usize,
-) -> Vec<Option<DeliveryRange<'a>>> {
-    match del {
-        Some(d) if e2e => d.split_ranges(mbounds).into_iter().map(Some).collect(),
-        _ => (0..domains).map(|_| None).collect(),
-    }
-}
-
-/// Per-domain collective-engine views when the engine is on, `None`
-/// placeholders otherwise — the collective twin of [`split_delivery`].
-fn split_collective<'a>(
-    coll: Option<&'a mut Collective>,
-    on: bool,
-    mbounds: &[usize],
-    domains: usize,
-) -> Vec<Option<CollRange<'a>>> {
-    match coll {
-        Some(c) if on => c.split_ranges(mbounds).into_iter().map(Some).collect(),
-        _ => (0..domains).map(|_| None).collect(),
-    }
-}
-
-/// Region-A worker body: phase 1 (processors execute) then phase 2
-/// (interfaces inject) for one domain, mirroring [`Machine::step_cpus`] and
-/// the injection half of [`Machine::step_network`] with every machine-global
-/// effect buffered in the task.
-fn region_a<const TRACED: bool, const E2E: bool, const COLL: bool>(
-    cycle: u64,
-    t: &mut RegionATask<'_>,
-) {
-    // Phase 1: step this domain's running processors in ascending order.
-    let mut just_stopped: Vec<usize> = Vec::new();
-    for &i in t.running {
-        let node = &mut t.nodes[i - t.lo];
-        if node.step() != StepOutcome::StalledEnv {
-            t.all_stalled = false;
-        }
-        if node.is_stopped() {
-            if node.ni().peek_outgoing().is_some() {
-                just_stopped.push(i);
-            }
-            if TRACED {
-                match node.cpu_state() {
-                    tcni_cpu::CpuState::Halted => {
-                        t.cpu_events.push(TraceEvent::Halted { cycle, node: i });
-                    }
-                    tcni_cpu::CpuState::Faulted { reason, .. } => {
-                        t.cpu_events.push(TraceEvent::Faulted {
-                            cycle,
-                            node: i,
-                            reason: reason.clone(),
-                        });
-                    }
-                    tcni_cpu::CpuState::Running => {}
-                }
-            }
-        } else {
-            t.new_running.push(i);
-        }
-    }
-    // The stopped-but-draining set the injection phase sees: the old
-    // draining slice merged with the processors that just stopped holding
-    // messages (both ascending).
-    let mut mid_draining: Vec<usize> = Vec::with_capacity(t.draining.len() + just_stopped.len());
-    {
-        let (mut a, mut b) = (0, 0);
-        loop {
-            match (t.draining.get(a), just_stopped.get(b)) {
-                (Some(&x), Some(&y)) => {
-                    if x < y {
-                        mid_draining.push(x);
-                        a += 1;
-                    } else {
-                        mid_draining.push(y);
-                        b += 1;
-                    }
-                }
-                (Some(&x), None) => {
-                    mid_draining.push(x);
-                    a += 1;
-                }
-                (None, Some(&y)) => {
-                    mid_draining.push(y);
-                    b += 1;
-                }
-                (None, None) => break,
-            }
-        }
-    }
-    // Phase 2: one injection attempt per node with possible traffic, in
-    // ascending node order (the serial phase's sorted merge, restricted to
-    // this domain).
-    let (mut r, mut d, mut o, mut c) = (0, 0, 0, 0);
-    loop {
-        let next = [
-            t.new_running.get(r).copied(),
-            mid_draining.get(d).copied(),
-            t.outbox.get(o).copied(),
-            t.coll_outbox.get(c).copied(),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        let Some(i) = next else { break };
-        r += usize::from(t.new_running.get(r) == Some(&i));
-        d += usize::from(mid_draining.get(d) == Some(&i));
-        o += usize::from(t.outbox.get(o) == Some(&i));
-        c += usize::from(t.coll_outbox.get(c) == Some(&i));
-        let injected = inject_one::<TRACED, E2E, COLL>(t, i, cycle);
-        t.changed |= injected;
-    }
-    // Stopped nodes whose last message just left stop being scanned.
-    let nodes = &*t.nodes;
-    let lo = t.lo;
-    t.new_draining.extend(
-        mid_draining
-            .into_iter()
-            .filter(|&i| nodes[i - lo].ni().peek_outgoing().is_some()),
-    );
-}
-
-/// Phase-2 body for one node of a region-A domain: at most one injection per
-/// cycle, mirroring [`Machine::inject_at`] with buffered effects (the
-/// observability path never runs sharded).
-fn inject_one<const TRACED: bool, const E2E: bool, const COLL: bool>(
-    t: &mut RegionATask<'_>,
-    i: usize,
-    cycle: u64,
-) -> bool {
-    let src = NodeId::from_index(i);
-    if E2E {
-        let del = t.del.as_mut().expect("E2E implies delivery");
-        if let Some(msg) = del.outbox_front(i).copied() {
-            return match t.net.inject(src, msg) {
-                Ok(()) => {
-                    del.outbox_pop(i);
-                    true
-                }
-                // Congestion: the copy stays queued and retries.
-                Err(InjectError::Refused(_)) => false,
-                // Unreachable by construction (protocol peers are real
-                // nodes), but never wedge the outbox on a bad message.
-                Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
-                    del.outbox_pop(i);
-                    true
-                }
-            };
-        }
-    }
-    if COLL {
-        let coll = t.coll.as_ref().expect("COLL implies engine");
-        if let Some(msg) = coll.outbox_front(i).copied() {
-            return inject_coll_one::<E2E>(t, i, src, msg, cycle);
-        }
-    }
-    let ni = t.nodes[i - t.lo].ni_mut();
-    let Some(mut msg) = ni.peek_outgoing().copied() else {
-        return false;
-    };
-    if E2E && msg.dest().index() < t.net.node_count() {
-        let dst = msg.dest().index();
-        let del = t.del.as_ref().expect("E2E implies delivery");
-        if !del.can_admit(i, dst) {
-            // Window full: back-pressure into the output queue exactly
-            // like a refused injection.
-            return false;
-        }
-        // Pure stamp: a refused injection retries with the same psn.
-        del.stamp(i, dst, &mut msg);
-    }
-    match t.net.inject(src, msg) {
-        Ok(()) => {
-            t.nodes[i - t.lo].ni_mut().pop_outgoing();
-            if E2E && msg.e2e.is_some() {
-                let dst = msg.dest().index();
-                t.del
-                    .as_mut()
-                    .expect("E2E implies delivery")
-                    .commit(i, dst, msg, cycle);
-            }
-            if TRACED {
-                t.sent_events.push(TraceEvent::Sent {
-                    cycle,
-                    node: i,
-                    msg,
-                });
-            }
-            true
-        }
-        Err(InjectError::Refused(_)) => false,
-        Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
-            t.nodes[i - t.lo].ni_mut().pop_outgoing();
-            true
-        }
-    }
-}
-
-/// Injects the head of a node's collective outbox, mirroring
-/// [`Machine::inject_coll`] with every shared-state effect buffered in the
-/// task's ranges. Combining traffic rides the delivery protocol when it is
-/// on (a faulted fabric would otherwise silently eat tree edges).
-fn inject_coll_one<const E2E: bool>(
-    t: &mut RegionATask<'_>,
-    i: usize,
-    src: NodeId,
-    mut msg: Message,
-    cycle: u64,
-) -> bool {
-    if E2E {
-        let dst = msg.dest().index();
-        let del = t.del.as_ref().expect("E2E implies delivery");
-        if !del.can_admit(i, dst) {
-            return false;
-        }
-        del.stamp(i, dst, &mut msg);
-    }
-    match t.net.inject(src, msg) {
-        Ok(()) => {
-            t.coll.as_mut().expect("COLL implies engine").outbox_pop(i);
-            if E2E && msg.e2e.is_some() {
-                let dst = msg.dest().index();
-                t.del
-                    .as_mut()
-                    .expect("E2E implies delivery")
-                    .commit(i, dst, msg, cycle);
-            }
-            true
-        }
-        Err(InjectError::Refused(_)) => false,
-        // Tree peers are real nodes; never wedge the outbox regardless.
-        Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
-            t.coll.as_mut().expect("COLL implies engine").outbox_pop(i);
-            true
-        }
-    }
-}
-
-/// Region-B worker body: the ejection half of [`Machine::step_network`] for
-/// one domain's nodes, with fabric counters, delivery effects, and trace
-/// events buffered in the task.
-fn region_b<const TRACED: bool, const E2E: bool, const COLL: bool>(
-    cycle: u64,
-    t: &mut RegionBTask<'_>,
-) {
-    for i in t.lo..t.hi {
-        let dst = NodeId::from_index(i);
-        while let Some(peeked) = t.net.peek_eject(dst).copied() {
-            if E2E && peeked.e2e.is_some() {
-                let del = t.del.as_mut().expect("E2E implies delivery");
-                match del.rx_action(i, &peeked) {
-                    RxAction::Deliver if COLL && peeked.mtype == MsgType::COLLECTIVE => {
-                        // Engine-bound (see the serial phase 4): always
-                        // accepted, never traced.
-                        let mut msg = t.net.eject(dst).expect("peeked");
-                        del.on_delivered(i, &msg, cycle);
-                        msg.e2e = None;
-                        let coll = t.coll.as_mut().expect("COLL implies engine");
-                        if let Some(done) = coll.on_message(i, &msg) {
-                            t.nodes[i - t.lo].coll_push_done(done);
-                        }
-                        t.changed = true;
-                    }
-                    RxAction::Deliver => {
-                        if !t.nodes[i - t.lo].ni().can_accept(&peeked) {
-                            break; // backpressure: leave it in the network
-                        }
-                        let mut msg = t.net.eject(dst).expect("peeked");
-                        del.on_delivered(i, &msg, cycle);
-                        if TRACED {
-                            t.events.push(TraceEvent::Delivered {
-                                cycle: cycle + 1,
-                                node: i,
-                                msg,
-                            });
-                        }
-                        // The header is sideband plumbing; the interface
-                        // receives the architected message.
-                        msg.e2e = None;
-                        t.nodes[i - t.lo]
-                            .ni_mut()
-                            .push_incoming(msg)
-                            .expect("can_accept checked");
-                        t.changed = true;
-                    }
-                    RxAction::Consume => {
-                        let msg = t.net.eject(dst).expect("peeked");
-                        del.on_consumed(i, &msg, cycle);
-                        t.changed = true;
-                    }
-                }
-                continue;
-            }
-            if COLL && peeked.mtype == MsgType::COLLECTIVE {
-                // Engine-bound: never enters (or backpressures) the NI
-                // input queue.
-                let msg = t.net.eject(dst).expect("peeked");
-                let coll = t.coll.as_mut().expect("COLL implies engine");
-                if let Some(done) = coll.on_message(i, &msg) {
-                    t.nodes[i - t.lo].coll_push_done(done);
-                }
-                t.changed = true;
-                continue;
-            }
-            if !t.nodes[i - t.lo].ni().can_accept(&peeked) {
-                break; // backpressure: leave it in the network
-            }
-            let msg = t.net.eject(dst).expect("peeked");
-            if TRACED {
-                t.events.push(TraceEvent::Delivered {
-                    cycle: cycle + 1,
-                    node: i,
-                    msg,
-                });
-            }
-            t.nodes[i - t.lo]
-                .ni_mut()
-                .push_incoming(msg)
-                .expect("can_accept checked");
-            t.changed = true;
         }
     }
 }
@@ -2345,7 +1524,6 @@ impl MachineBuilder {
             outbox_scan: Vec::new(),
             coll_scan: Vec::new(),
             coll_poll: false,
-            par_threads: 0,
         };
         machine.refresh_lists();
         machine.set_dense_scan(self.dense_scan);

@@ -1,22 +1,12 @@
-//! # tcni-util — shared threading substrate
+//! # tcni-util — thread-count resolution and the scoped parallel map
 //!
 //! The one place the workspace reads and clamps `TCNI_THREADS`, and the one
-//! place it spawns worker threads. Two layers consume it:
-//!
-//! * the evaluation pipeline (`tcni-eval` and the bench bins) fans
-//!   independent measurements out with [`par::par_map`];
-//! * the machine simulator (`tcni-sim`/`tcni-net`) shards a *single*
-//!   machine's cycle across spatial domains with [`par::run_tasks`], which
-//!   keeps a persistent pool alive so the per-cycle fork/join costs
-//!   microseconds, not a thread spawn.
-//!
-//! This crate deliberately contains the workspace's only `unsafe` code: the
-//! lifetime erasure inside the worker pool and the aliasing core of
-//! [`disjoint`]. Everything it exports is a safe API with the soundness
-//! argument documented at the `unsafe` block, so `tcni-net` and `tcni-sim`
-//! can stay `#![forbid(unsafe_code)]`-free of their own unsafe while sharing
-//! one audited substrate.
+//! place it spawns worker threads. The evaluation pipeline (`tcni-eval`, the
+//! bench bins and `loadgen`) fans independent measurements — Table-1 cells,
+//! sweep points, seeds, models — out with [`par::par_map`]. A single
+//! machine always steps serially: its cycle phases are microseconds long,
+//! so parallelism pays only across whole, independent runs.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod disjoint;
 pub mod par;

@@ -55,11 +55,10 @@ grep -q '"schema": "tcni-load/1"' target/BENCH_loadgen_faults.ci.json
 grep -q '"fault_rates_pm": \[0, 50\]' target/BENCH_loadgen_faults.ci.json
 grep -q '"goodput_pm": ' target/BENCH_loadgen_faults.ci.json
 
-echo "== smoke: sharded 16x16 tick (TCNI_THREADS=4) matches serial =="
-# The 16×16 large-mesh point is where `Machine::run_driven` genuinely shards
-# its cycle across workers (mesh fabric, no observability), and the
-# tcni-load/1 artifact is its stats export: the serial and 4-worker runs
-# must be byte-identical.
+echo "== smoke: 16x16 loadgen export under TCNI_THREADS=4 (par_map fan-out) matches serial =="
+# `TCNI_THREADS` sets how many sweep points `par_map` runs at once; each
+# machine steps serially. The tcni-load/1 artifact must not depend on the
+# fan-out width: the 1-worker and 4-worker runs must be byte-identical.
 run_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --fabrics mesh \
@@ -70,11 +69,11 @@ run_16x16 1 target/BENCH_loadgen_16x16.serial.json
 run_16x16 4 target/BENCH_loadgen_16x16.par4.json
 cmp target/BENCH_loadgen_16x16.serial.json target/BENCH_loadgen_16x16.par4.json
 
-echo "== smoke: topology axis (torus sharded run, ring/full schema, torus collective) =="
+echo "== smoke: topology axis (torus TCNI_THREADS=4 run, ring/full schema, torus collective) =="
 # `--topology` pins the sweep to one switched fabric. The torus 16×16 point
-# shards across workers exactly like the mesh one and must export the same
-# tcni-load/1 bytes serial vs parallel; ring and full get schema smokes; the
-# faulty torus collective proves the wrap-embedded tree computes correctly.
+# must export the same tcni-load/1 bytes at 1 and 4 `par_map` workers, like
+# the mesh one; ring and full get schema smokes; the faulty torus
+# collective proves the wrap-embedded tree computes correctly.
 run_torus_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --topology torus \
@@ -104,8 +103,8 @@ grep -q '"wrong_results": 0' target/BENCH_collective_torus.ci.json
 echo "== smoke: wide-format 64x64 sweep (TCNI_THREADS=4) matches the committed snapshot =="
 # 4096 nodes sits past the compact format's 256-node ceiling, so this run
 # exercises the wide wire format end to end. The tcni-load/1 export is
-# pinned byte-for-byte against a committed snapshot, and the sharded run
-# must reproduce it exactly — wide ids, serial or parallel, same bytes.
+# pinned byte-for-byte against a committed snapshot at 1 and 4 `par_map`
+# workers — wide ids, any fan-out width, same bytes.
 run_64x64() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 64 --height 64 --models opt-reg --fabrics mesh \
@@ -120,7 +119,7 @@ cmp tests/golden/loadgen_64x64.json target/BENCH_loadgen_64x64.par4.json
 echo "== smoke: delivery-enabled 64x64 sweep (sparse flow store, TCNI_THREADS=4) matches serial =="
 # 4096 nodes with the end-to-end delivery protocol on: the old dense flow
 # tables would pin 2*4096^2 slots here; the sparse store keys state by
-# active pair. The serial and 4-worker exports must be byte-identical —
+# active pair. The 1-worker and 4-worker exports must be byte-identical —
 # including the delivery counters the protocol adds to the artifact.
 run_64x64_e2e() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
@@ -134,8 +133,8 @@ cmp target/BENCH_loadgen_64x64_e2e.serial.json target/BENCH_loadgen_64x64_e2e.pa
 grep -q '"goodput_pm": ' target/BENCH_loadgen_64x64_e2e.serial.json
 
 echo "== smoke: tcni-trace/1 export unchanged under TCNI_THREADS=4 =="
-# Observability pins the serial fallback by design, so the instrumented
-# 16×16 export must not move at all when the env var asks for workers.
+# The instrumented 16×16 export must not move at all when the env var asks
+# for workers.
 run_netstats_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin netstats -- \
         --width 16 --height 16 --msgs 2 --quiet --out "$2"
@@ -160,8 +159,8 @@ grep -q '"fault_pm": 25' target/BENCH_collective_faults.ci.json
 grep -q '"wrong_results": 0' target/BENCH_collective_faults.ci.json
 
 echo "== smoke: collective 16x16 export (TCNI_THREADS=4) matches serial =="
-# The collective engine shards with the rest of the cycle; the tcni-coll/1
-# export of a 16×16 storm must be byte-identical serial vs 4 workers.
+# The tcni-coll/1 export of a 16×16 storm must not depend on
+# `TCNI_THREADS`: the 1-worker and 4-worker runs must be byte-identical.
 run_coll_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --collective --width 16 --height 16 --ops barrier,sum --rounds 4 \

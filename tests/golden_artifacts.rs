@@ -228,10 +228,8 @@ fn golden_loadgen_ring_16x16() {
 /// The paper-scale collective comparison, pinned as the serialized
 /// `tcni-coll/1` artifact: NIC combining vs the flat software emulation for
 /// barrier and reduce on the 16×16 mesh. Every latency, occupancy, and
-/// engine counter is byte-exact — and because the machine shards its cycle
-/// across `TCNI_THREADS` workers, re-running this test at different thread
-/// counts doubles as the determinism check for the collective subsystem
-/// (ci.sh runs it at 1 and 4).
+/// engine counter is byte-exact. ci.sh re-runs it under `TCNI_THREADS` 1
+/// and 4, pinning that the thread setting changes no output.
 #[test]
 fn golden_collective() {
     let mut cfg = CollStormConfig::new(Topology::new(16, 16));

@@ -156,160 +156,6 @@ fn hot_set_is_equivalent_on_all_six_models() {
     });
 }
 
-/// Builds a machine for the parallel sweep: hot scan, optional trace-only
-/// instrumentation, and an explicit per-machine worker count.
-fn build_par(cfg: &Config, trace_cap: Option<usize>, par_threads: usize) -> Machine {
-    let mut m = build(cfg, false);
-    if let Some(c) = trace_cap {
-        m.enable_trace(c);
-    }
-    m.set_par_threads(par_threads);
-    m
-}
-
-/// Parallelism is an implementation detail: the sharded cycle must be
-/// bit-identical to the serial cycle at any worker count — same bytes on
-/// every observable surface, including the [`ScanStats`] effort meters
-/// (the domain-sliced frontier walk visits the same channel multiset as the
-/// serial scan). The sweep crosses the §4 models with both fabrics, E2E
-/// on/off, trace-only and trace+obs instrumentation, seeded fault
-/// schedules, and worker counts {1, 2, 3, 8}. Fault-wrapped meshes shard
-/// too (the per-node fault streams reproduce domain by domain); ineligible
-/// configurations (ideal fabric, observability, dense scan) fall back to
-/// the serial path, and keeping them in the sweep pins the fallback.
-#[test]
-fn parallel_tick_is_equivalent_at_any_thread_count() {
-    check(
-        "parallel_tick_is_equivalent_at_any_thread_count",
-        64,
-        |rng| {
-            let cfg = Config {
-                model: *rng.pick(&Model::ALL_SIX),
-                mesh: rng.bool(),
-                latency: rng.below(40),
-                e2e: rng.bool(),
-                fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
-                skip: rng.bool(),
-                instrument: rng.bool().then(|| rng.range(1, 24) as usize),
-            };
-            let trace_cap =
-                (cfg.instrument.is_none() && rng.bool()).then(|| rng.range(1, 24) as usize);
-            let par = *rng.pick(&[1usize, 2, 3, 8]);
-            let budget = rng.range(4_000, 30_000);
-            let ctx = format!(
-                "{} mesh={} latency={} e2e={} fault={:?} skip={} instrument={:?} trace={:?} par={}",
-                cfg.model,
-                cfg.mesh,
-                cfg.latency,
-                cfg.e2e,
-                cfg.fault,
-                cfg.skip,
-                cfg.instrument,
-                trace_cap,
-                par
-            );
-            let mut serial = build_par(&cfg, trace_cap, 1);
-            let mut sharded = build_par(&cfg, trace_cap, par);
-            let os = serial.run(budget);
-            let op = sharded.run(budget);
-
-            assert_eq!(os, op, "{ctx} outcome");
-            assert_eq!(serial.cycle(), sharded.cycle(), "{ctx} machine cycle");
-            assert_eq!(serial.net_stats(), sharded.net_stats(), "{ctx} net stats");
-            assert_eq!(
-                serial.net_stats().scan,
-                sharded.net_stats().scan,
-                "{ctx} scan meters must be byte-identical, not merely conserved"
-            );
-            assert_eq!(
-                serial.delivery_stats(),
-                sharded.delivery_stats(),
-                "{ctx} delivery stats"
-            );
-            assert_eq!(
-                serial.skipped_cycles(),
-                sharded.skipped_cycles(),
-                "{ctx} fast-forward accounting"
-            );
-            for i in 0..2 {
-                let (s, p) = (serial.node(i), sharded.node(i));
-                assert_eq!(s.cpu().cycle(), p.cpu().cycle(), "{ctx} node {i} cycles");
-                assert_eq!(s.cpu().stats(), p.cpu().stats(), "{ctx} node {i} stats");
-                for r in Reg::ALL {
-                    assert_eq!(s.cpu().reg(r), p.cpu().reg(r), "{ctx} node {i} reg {r}");
-                }
-            }
-            if trace_cap.is_some() || cfg.instrument.is_some() {
-                let (ts, tp) = (serial.trace().unwrap(), sharded.trace().unwrap());
-                assert_eq!(ts.dropped(), tp.dropped(), "{ctx} trace dropped");
-                assert!(ts.events().eq(tp.events()), "{ctx} trace events");
-            }
-            if cfg.instrument.is_some() {
-                // Observability pins the serial fallback, so even the serialized
-                // report (scan meters included) is byte-equal.
-                let (rs, rp) = (serial.obs_report().unwrap(), sharded.obs_report().unwrap());
-                assert_eq!(rs.to_json(), rp.to_json(), "{ctx} tcni-trace/1 report");
-            }
-        },
-    );
-}
-
-/// The fault-wrapped mesh is parallel-eligible, not a serial fallback: pin
-/// the sharded cycle against the serial one across worker counts with a
-/// seeded fault schedule mangling traffic and the delivery protocol
-/// retransmitting around it — the inner fabric tick, the per-node fault
-/// streams, and the stall-roll timing must all reproduce domain by domain.
-#[test]
-fn fault_wrapped_mesh_shards_bit_identically() {
-    check("fault_wrapped_mesh_shards_bit_identically", 24, |rng| {
-        let cfg = Config {
-            model: *rng.pick(&Model::ALL_SIX),
-            mesh: true,
-            latency: 0,
-            e2e: true,
-            fault: Some((rng.u64(), rng.range(20, 150) as u32)),
-            skip: rng.bool(),
-            instrument: None,
-        };
-        let trace_cap = rng.bool().then(|| rng.range(1, 24) as usize);
-        let budget = rng.range(10_000, 40_000);
-        let ctx = format!(
-            "{} fault={:?} skip={} trace={:?}",
-            cfg.model, cfg.fault, cfg.skip, trace_cap
-        );
-        let mut serial = build_par(&cfg, trace_cap, 1);
-        let baseline = serial.run(budget);
-        for par in [2usize, 3, 8] {
-            let mut sharded = build_par(&cfg, trace_cap, par);
-            let op = sharded.run(budget);
-            assert_eq!(baseline, op, "{ctx} par={par} outcome");
-            assert_eq!(serial.cycle(), sharded.cycle(), "{ctx} par={par} cycle");
-            assert_eq!(
-                serial.net_stats(),
-                sharded.net_stats(),
-                "{ctx} par={par} net stats (fault counters included)"
-            );
-            assert_eq!(
-                serial.delivery_stats(),
-                sharded.delivery_stats(),
-                "{ctx} par={par} delivery stats"
-            );
-            for i in 0..2 {
-                let (s, p) = (serial.node(i), sharded.node(i));
-                assert_eq!(s.cpu().cycle(), p.cpu().cycle(), "{ctx} node {i} cycles");
-                for r in Reg::ALL {
-                    assert_eq!(s.cpu().reg(r), p.cpu().reg(r), "{ctx} node {i} reg {r}");
-                }
-            }
-            if trace_cap.is_some() {
-                let (ts, tp) = (serial.trace().unwrap(), sharded.trace().unwrap());
-                assert_eq!(ts.dropped(), tp.dropped(), "{ctx} par={par} trace dropped");
-                assert!(ts.events().eq(tp.events()), "{ctx} par={par} trace events");
-            }
-        }
-    });
-}
-
 /// The same bit-identity must hold when a seeded fault schedule is mangling
 /// traffic and the delivery protocol is retransmitting around it — the
 /// hardest case for the timeout list, since flows join, refresh, and leave
@@ -336,7 +182,7 @@ fn hot_set_is_equivalent_under_fault_schedules() {
 }
 
 /// The §4 matrix config for the flow-store sweep, with the fabric topology
-/// and the worker count as explicit axes.
+/// as an explicit axis.
 struct StoreConfig {
     model: Model,
     topo: TopologyKind,
@@ -344,7 +190,6 @@ struct StoreConfig {
     fault: Option<(u64, u32)>,
     skip: bool,
     instrument: Option<usize>,
-    par: usize,
 }
 
 /// Every switched topology, sized so both machine nodes exist (extra fabric
@@ -383,7 +228,6 @@ fn build_store(cfg: &StoreConfig, dense_flows: bool) -> Machine {
         machine.enable_obs(capacity);
     }
     machine.node_mut(1).mem_mut().poke(REMOTE_ADDR, SECRET);
-    machine.set_par_threads(cfg.par);
     machine
 }
 
@@ -391,7 +235,7 @@ fn build_store(cfg: &StoreConfig, dense_flows: bool) -> Machine {
 /// cross-check tables everywhere both can run — outcome, cycles, network
 /// and delivery statistics, registers, trace events, and the serialized
 /// `tcni-trace/1` report — across the §4 models, every fabric topology,
-/// seeded fault schedules, E2E on/off, and worker counts {1, 2, 3, 8}.
+/// seeded fault schedules, and E2E on/off.
 /// The scheduler effort meters must agree *exactly* (both sides walk the
 /// same timeout list and frontier); only the sparse footprint meters may
 /// differ, and dense tables must report zero for them.
@@ -408,12 +252,11 @@ fn sparse_flow_store_matches_the_dense_cross_check() {
                 fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
                 skip: rng.bool(),
                 instrument: rng.bool().then(|| rng.range(1, 24) as usize),
-                par: *rng.pick(&[1usize, 2, 3, 8]),
             };
             let budget = rng.range(8_000, 40_000);
             let ctx = format!(
-                "{} {:?} e2e={} fault={:?} skip={} instrument={:?} par={}",
-                cfg.model, cfg.topo, cfg.e2e, cfg.fault, cfg.skip, cfg.instrument, cfg.par
+                "{} {:?} e2e={} fault={:?} skip={} instrument={:?}",
+                cfg.model, cfg.topo, cfg.e2e, cfg.fault, cfg.skip, cfg.instrument
             );
             let mut sparse = build_store(&cfg, false);
             let mut dense = build_store(&cfg, true);

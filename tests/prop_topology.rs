@@ -1,5 +1,5 @@
 //! Cross-topology equivalence and routing-invariant properties — the pinning
-//! layer for the [`Topology`] abstraction. Three families:
+//! layer for the [`Topology`] abstraction. Two families:
 //!
 //! * **Routing invariants**, checked exhaustively over every (src, dst) pair
 //!   of representative mesh / torus / ring / fully-connected instances: each
@@ -12,9 +12,6 @@
 //!   must be bit-identical to the dense scan — and conserve effort — on the
 //!   torus, ring, and fully-connected fabrics exactly as on the mesh, across
 //!   the six §4 models, E2E delivery on/off, and seeded fault schedules.
-//! * **Sharded-cycle equivalence on every topology**: worker counts
-//!   {2, 3, 8} must reproduce the serial cycle byte for byte on every
-//!   observable surface, again across models × topologies × fault schedules.
 //!
 //! [`Topology`]: tcni::net::Topology
 //! [`Topology::distance`]: tcni::net::Topology::distance
@@ -237,38 +234,5 @@ fn hot_set_is_equivalent_on_every_topology() {
             sd.scanned_channels + sd.scanned_flows,
             "{ctx} scanned + skipped must equal the dense cost"
         );
-    });
-}
-
-#[test]
-fn sharded_tick_is_equivalent_on_every_topology() {
-    check("sharded_tick_is_equivalent_on_every_topology", 32, |rng| {
-        let cfg = Config {
-            model: *rng.pick(&Model::ALL_SIX),
-            topo: *rng.pick(&fabric_axis()),
-            e2e: true,
-            fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
-            skip: rng.bool(),
-        };
-        let budget = rng.range(8_000, 30_000);
-        let ctx = format!(
-            "{} {:?} fault={:?} skip={}",
-            cfg.model, cfg.topo, cfg.fault, cfg.skip
-        );
-        let mut serial = build(&cfg, false);
-        serial.set_par_threads(1);
-        let baseline = serial.run(budget);
-        for par in [2usize, 3, 8] {
-            let mut sharded = build(&cfg, false);
-            sharded.set_par_threads(par);
-            let op = sharded.run(budget);
-            assert_eq!(baseline, op, "{ctx} par={par} outcome");
-            assert_machines_equal(&serial, &sharded, &format!("{ctx} par={par}"));
-            assert_eq!(
-                serial.net_stats().scan,
-                sharded.net_stats().scan,
-                "{ctx} par={par} scan meters byte-identical"
-            );
-        }
     });
 }
