@@ -551,6 +551,62 @@ fn flow_evict<T: Default>(rows: &mut [FlowRow<T>], pr: u32) {
     }
 }
 
+/// Per-node protocol traffic (acks, retransmits) awaiting injection, with
+/// the set of nodes that hold any. Drains at one message per node per
+/// cycle, ahead of fresh NI sends. Kept apart from the flow tables so a
+/// flow borrowed from `tx` can feed its node's queue directly.
+#[derive(Debug)]
+struct Outboxes {
+    queues: Vec<VecDeque<Message>>,
+    /// Nodes with a non-empty queue, *unsorted* (swap-remove set; the
+    /// machine sorts its per-cycle snapshot). O(1) in and out via `pos`.
+    active: Vec<u32>,
+    /// Each node's position in `active` ([`EMPTY_SLOT`] when inactive).
+    pos: Vec<u32>,
+    /// Total messages across all queues (O(1) `active`/`residency`).
+    msgs: u64,
+}
+
+impl Outboxes {
+    fn new(nodes: usize) -> Outboxes {
+        Outboxes {
+            queues: vec![VecDeque::new(); nodes],
+            active: Vec::new(),
+            pos: vec![EMPTY_SLOT; nodes],
+            msgs: 0,
+        }
+    }
+
+    /// Appends a message to `node`'s queue; a queue that was empty joins
+    /// the active set (O(1) append plus position record).
+    fn push(&mut self, node: usize, msg: Message) {
+        self.queues[node].push_back(msg);
+        self.msgs += 1;
+        if self.queues[node].len() == 1 {
+            debug_assert_eq!(self.pos[node], EMPTY_SLOT, "double activate");
+            self.pos[node] = self.active.len() as u32;
+            self.active.push(node as u32);
+        }
+    }
+
+    /// Removes `node`'s oldest message; a queue that empties leaves the
+    /// active set (O(1) swap-remove via the position map).
+    fn pop(&mut self, node: usize) -> Option<Message> {
+        let m = self.queues[node].pop_front()?;
+        self.msgs -= 1;
+        if self.queues[node].is_empty() {
+            let pos = self.pos[node] as usize;
+            debug_assert_eq!(self.active.get(pos), Some(&(node as u32)));
+            self.active.swap_remove(pos);
+            self.pos[node] = EMPTY_SLOT;
+            if let Some(&moved) = self.active.get(pos) {
+                self.pos[moved as usize] = pos as u32;
+            }
+        }
+        Some(m)
+    }
+}
+
 /// Protocol state for a whole machine. Driven by [`crate::Machine`]; exposed
 /// read-only through [`Machine::delivery_stats`](crate::Machine::delivery_stats).
 #[derive(Debug)]
@@ -570,18 +626,8 @@ pub struct Delivery {
     /// Receiver state, destination-major: `rx[dst]` holds flows keyed
     /// `pair(dst, src)`.
     rx: Vec<FlowRow<FlowRx>>,
-    /// Per-node protocol traffic (acks, retransmits) awaiting injection.
-    /// Drains at one message per node per cycle, ahead of fresh NI sends.
-    outbox: Vec<VecDeque<Message>>,
-    /// Nodes with a non-empty outbox, *unsorted* (swap-remove set; the
-    /// machine sorts its per-cycle snapshot). O(1) in and out via
-    /// `outbox_pos`.
-    outbox_active: Vec<u32>,
-    /// Each node's position in `outbox_active` ([`EMPTY_SLOT`] when
-    /// inactive).
-    outbox_pos: Vec<u32>,
-    /// Total messages across all outboxes (O(1) `active`/`residency`).
-    outbox_msgs: u64,
+    /// Per-node protocol traffic awaiting injection.
+    outbox: Outboxes,
     /// Total unacked messages across all flows.
     unacked_msgs: u64,
     /// Head/tail of the intrusive timeout list: flows with unacked data,
@@ -645,10 +691,7 @@ impl Delivery {
             format,
             tx,
             rx,
-            outbox: vec![VecDeque::new(); nodes],
-            outbox_active: Vec::new(),
-            outbox_pos: vec![EMPTY_SLOT; nodes],
-            outbox_msgs: 0,
+            outbox: Outboxes::new(nodes),
             unacked_msgs: 0,
             to_head: NONE_LINK,
             to_tail: NONE_LINK,
@@ -686,13 +729,13 @@ impl Delivery {
     /// traffic or unacknowledged data. While true, the machine cannot be
     /// quiescent and must not fast-forward past timeouts.
     pub fn active(&self) -> bool {
-        self.outbox_msgs > 0 || self.unacked_msgs > 0
+        self.outbox.msgs > 0 || self.unacked_msgs > 0
     }
 
     /// Messages buffered inside the protocol (unacked + outbox) — the
     /// protocol's contribution to queue residency.
     pub fn residency(&self) -> u64 {
-        self.outbox_msgs + self.unacked_msgs
+        self.outbox.msgs + self.unacked_msgs
     }
 
     // --- timeout list ---------------------------------------------------------
@@ -746,52 +789,20 @@ impl Delivery {
     // --- sender side ---------------------------------------------------------
 
     pub(crate) fn outbox_front(&self, node: usize) -> Option<&Message> {
-        self.outbox[node].front()
+        self.outbox.queues[node].front()
     }
 
     /// The nodes whose outbox is non-empty, in no particular order (O(1)
     /// activation/deactivation). The machine's injection phase sorts its
     /// snapshot before merging with its running/draining lists.
     pub(crate) fn outbox_nodes(&self) -> &[u32] {
-        &self.outbox_active
-    }
-
-    /// Marks `node`'s outbox non-empty: O(1) append plus position record.
-    fn activate(&mut self, node: usize) {
-        debug_assert_eq!(self.outbox_pos[node], EMPTY_SLOT, "double activate");
-        self.outbox_pos[node] = self.outbox_active.len() as u32;
-        self.outbox_active.push(node as u32);
-    }
-
-    /// Marks `node`'s outbox empty: O(1) swap-remove via the position map.
-    fn deactivate(&mut self, node: usize) {
-        let pos = self.outbox_pos[node] as usize;
-        debug_assert_eq!(self.outbox_active.get(pos), Some(&(node as u32)));
-        self.outbox_active.swap_remove(pos);
-        self.outbox_pos[node] = EMPTY_SLOT;
-        if let Some(&moved) = self.outbox_active.get(pos) {
-            self.outbox_pos[moved as usize] = pos as u32;
-        }
-    }
-
-    /// Appends a protocol message to `node`'s outbox, maintaining the
-    /// active-node set and the message total.
-    fn outbox_push(&mut self, node: usize, msg: Message) {
-        self.outbox[node].push_back(msg);
-        self.outbox_msgs += 1;
-        if self.outbox[node].len() == 1 {
-            self.activate(node);
-        }
+        &self.outbox.active
     }
 
     pub(crate) fn outbox_pop(&mut self, node: usize) {
-        let Some(m) = self.outbox[node].pop_front() else {
+        let Some(m) = self.outbox.pop(node) else {
             return;
         };
-        self.outbox_msgs -= 1;
-        if self.outbox[node].is_empty() {
-            self.deactivate(node);
-        }
         match m.e2e {
             // A retransmit copy left the outbox: credit the flow's pending
             // counter (tx flows are never evicted, so the slot is live).
@@ -940,41 +951,38 @@ impl Delivery {
     /// the timer if the previous round's copies are still queued, or abandon
     /// once the budget is spent.
     fn fire_timeout(&mut self, pr: u32, cycle: u64) {
-        let src = pair_major(pr);
+        // One metered lookup; the flow borrow leaves the counters and the
+        // outboxes free.
+        let flow = flow_edit(&mut self.tx, pr).expect(LIVE);
+        flow.last_send = cycle;
         // Copies from the previous round still await injection: the outbox
         // is congested, not the receiver unresponsive. Reset the timer
         // without burning a budget round.
-        if flow_edit(&mut self.tx, pr).expect(LIVE).pending_copies > 0 {
-            flow_edit(&mut self.tx, pr).expect(LIVE).last_send = cycle;
+        if flow.pending_copies > 0 {
             self.move_to_tail(pr);
             return;
         }
-        {
-            let flow = flow_edit(&mut self.tx, pr).expect(LIVE);
-            flow.rounds += 1;
-            flow.last_send = cycle;
-        }
+        flow.rounds += 1;
         self.stats.timeout_rounds += 1;
-        if flow_edit(&mut self.tx, pr).expect(LIVE).rounds > self.config.retransmit_limit {
+        if flow.rounds > self.config.retransmit_limit {
             // Budget exhausted: the receiver is unreachable. Abandon the
             // window rather than wedging the machine. The flow slot (and
             // its spent budget) stays live — see the eviction semantics.
-            let len = flow_edit(&mut self.tx, pr).expect(LIVE).unacked.len() as u64;
-            self.stats.abandoned += len;
-            self.unacked_msgs -= len;
-            let flow = flow_edit(&mut self.tx, pr).expect(LIVE);
+            let len = flow.unacked.len() as u64;
             flow.unacked.clear();
             flow.rounds = 0;
+            self.stats.abandoned += len;
+            self.unacked_msgs -= len;
             self.unlink(pr);
             return;
         }
         // Go-back-N: requeue the whole window.
-        let count = flow_edit(&mut self.tx, pr).expect(LIVE).unacked.len();
-        for k in 0..count {
-            let m = flow_edit(&mut self.tx, pr).expect(LIVE).unacked[k].1;
-            self.outbox_push(src, m);
+        let src = pair_major(pr);
+        for &(_, m) in &flow.unacked {
+            self.outbox.push(src, m);
         }
-        flow_edit(&mut self.tx, pr).expect(LIVE).pending_copies += count as u32;
+        let count = flow.unacked.len();
+        flow.pending_copies += count as u32;
         self.stats.retransmits += count as u64;
         self.move_to_tail(pr);
     }
@@ -1083,7 +1091,7 @@ impl Delivery {
         let crc = payload_crc(&ack.words, ack.mtype);
         ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
         if flow_ref(&self.rx, pr).is_some_and(|f| f.ack_pending) {
-            for m in self.outbox[receiver].iter_mut() {
+            for m in self.outbox.queues[receiver].iter_mut() {
                 if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
                     // Cumulative: only ever move the acked prefix forward
                     // (`expected` is monotone, so `<=` always holds — the
@@ -1098,7 +1106,7 @@ impl Delivery {
             debug_assert!(false, "ack_pending set but no ack queued");
         }
         flow_mut(&mut self.rx, self.nodes, pr).ack_pending = true;
-        self.outbox_push(receiver, ack);
+        self.outbox.push(receiver, ack);
         self.stats.acks_sent += 1;
     }
 }
@@ -1132,7 +1140,7 @@ mod tests {
 
         /// The active-outbox set, sorted (the live set is order-free).
         fn active_sorted(&self) -> Vec<u32> {
-            let mut v = self.outbox_active.clone();
+            let mut v = self.outbox.active.clone();
             v.sort_unstable();
             v
         }

@@ -180,42 +180,6 @@ pub enum RunOutcome {
     DriverStopped,
 }
 
-/// Expands the four optional-subsystem flags — trace, observability,
-/// end-to-end delivery, collectives — into const-generic instantiations:
-/// sixteen monomorphized stepping loops, each paying only for the
-/// subsystems it actually carries. The optional `::<T>` tail forwards
-/// extra generic arguments (the driver type of `run_driven_impl`).
-macro_rules! dispatch {
-    ($self:ident, $method:ident ( $($arg:expr),* )) => {
-        dispatch!($self, $method::<>($($arg),*))
-    };
-    ($self:ident, $method:ident :: < $($extra:ty),* > ( $($arg:expr),* )) => {
-        match (
-            $self.trace.is_some(),
-            $self.obs.is_some(),
-            $self.delivery.is_some(),
-            $self.collective.is_some(),
-        ) {
-            (false, false, false, false) => $self.$method::<false, false, false, false $(, $extra)*>($($arg),*),
-            (false, false, false, true) => $self.$method::<false, false, false, true $(, $extra)*>($($arg),*),
-            (false, false, true, false) => $self.$method::<false, false, true, false $(, $extra)*>($($arg),*),
-            (false, false, true, true) => $self.$method::<false, false, true, true $(, $extra)*>($($arg),*),
-            (false, true, false, false) => $self.$method::<false, true, false, false $(, $extra)*>($($arg),*),
-            (false, true, false, true) => $self.$method::<false, true, false, true $(, $extra)*>($($arg),*),
-            (false, true, true, false) => $self.$method::<false, true, true, false $(, $extra)*>($($arg),*),
-            (false, true, true, true) => $self.$method::<false, true, true, true $(, $extra)*>($($arg),*),
-            (true, false, false, false) => $self.$method::<true, false, false, false $(, $extra)*>($($arg),*),
-            (true, false, false, true) => $self.$method::<true, false, false, true $(, $extra)*>($($arg),*),
-            (true, false, true, false) => $self.$method::<true, false, true, false $(, $extra)*>($($arg),*),
-            (true, false, true, true) => $self.$method::<true, false, true, true $(, $extra)*>($($arg),*),
-            (true, true, false, false) => $self.$method::<true, true, false, false $(, $extra)*>($($arg),*),
-            (true, true, false, true) => $self.$method::<true, true, false, true $(, $extra)*>($($arg),*),
-            (true, true, true, false) => $self.$method::<true, true, true, false $(, $extra)*>($($arg),*),
-            (true, true, true, true) => $self.$method::<true, true, true, true $(, $extra)*>($($arg),*),
-        }
-    };
-}
-
 /// A complete simulated multicomputer.
 ///
 /// Each global cycle: every processor steps once; interfaces offer their
@@ -265,12 +229,12 @@ pub struct Machine {
     trace: Option<Trace>,
     obs: Option<Obs>,
     /// The optional end-to-end delivery protocol (ack/retransmit over an
-    /// unreliable fabric). Like trace and obs, its presence selects a
-    /// separate stepping monomorphization; a machine without it pays nothing.
+    /// unreliable fabric). Like trace, obs and the collective engine, it
+    /// plugs into the one cycle body: each of its hooks is a check of this
+    /// `Option`, and a machine without it skips them.
     delivery: Option<Delivery>,
     /// The optional in-network collective engine (combining-tree barrier /
-    /// broadcast / reduce; see [`Collective`]). Fourth const-generic flag of
-    /// the stepping dispatch — a machine without it pays nothing.
+    /// broadcast / reduce; see [`Collective`]), hooked in the same way.
     collective: Option<Collective>,
     /// Indices of nodes whose processor is still running, ascending. The
     /// ascending order matters: phase 2 injects in node order, which is the
@@ -286,7 +250,7 @@ pub struct Machine {
     skipped_cycles: u64,
     dense_scan: bool,
     /// Reusable snapshot of the delivery outbox's active-node list for the
-    /// E2E injection phase (taken per cycle; injection pops edit the live
+    /// injection phase (taken per cycle; injection pops edit the live
     /// list mid-walk).
     outbox_scan: Vec<usize>,
     /// The collective engine's counterpart of `outbox_scan`.
@@ -368,8 +332,9 @@ impl Machine {
     /// Enables message-lifecycle observability, retaining at most
     /// `span_capacity` completed [`crate::MsgSpan`]s (aggregates cover every
     /// message regardless). On a mesh fabric this also turns on per-link
-    /// counters. Like tracing, the instrumented stepping path is a separate
-    /// monomorphization: a machine with observability disabled pays nothing.
+    /// counters. Like tracing, each observability hook in the cycle body is
+    /// one check of an `Option`; with observability disabled the hooks are
+    /// skipped.
     pub fn enable_obs(&mut self, span_capacity: usize) {
         self.obs = Some(Obs::new(self.nodes.len(), span_capacity));
         if let Some(mesh) = self.net.as_fabric_mut() {
@@ -540,16 +505,14 @@ impl Machine {
         if self.lists_dirty {
             self.refresh_lists();
         }
-        dispatch!(self, step_once());
+        self.step_once();
     }
 
     /// One full cycle. Returns (every running CPU environment-stalled,
     /// any interface state changed by the network phases).
-    fn step_once<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-    ) -> (bool, bool) {
-        let all_stalled = self.step_cpus::<TRACED, OBS>();
-        let changed = self.step_network::<TRACED, OBS, E2E, COLL>();
+    fn step_once(&mut self) -> (bool, bool) {
+        let all_stalled = self.step_cpus();
+        let changed = self.step_network();
         self.cycle += 1;
         (all_stalled, changed)
     }
@@ -557,7 +520,7 @@ impl Machine {
     /// Phase 1: processors execute. Only nodes on the active list step;
     /// stopping nodes migrate to the draining list (if their interface still
     /// holds messages) or drop out entirely.
-    fn step_cpus<const TRACED: bool, const OBS: bool>(&mut self) -> bool {
+    fn step_cpus(&mut self) -> bool {
         let cycle = self.cycle;
         let mut all_env_stalled = true;
         let mut k = 0;
@@ -567,15 +530,12 @@ impl Machine {
             if outcome != StepOutcome::StalledEnv {
                 all_env_stalled = false;
             }
-            if OBS {
+            if let Some(o) = self.obs.as_mut() {
                 // Output-depth increases are enqueues; input-depth decreases
                 // are dispatches. Both only happen while the CPU executes.
                 let ni = self.nodes[i].ni();
-                let out_len = ni.output_len();
                 let in_depth = ni.input_len() + usize::from(ni.msg_valid());
-                if let Some(o) = self.obs.as_mut() {
-                    o.after_cpu_node(i, out_len, in_depth, cycle);
-                }
+                o.after_cpu_node(i, ni.output_len(), in_depth, cycle);
             }
             if self.nodes[i].is_stopped() {
                 self.running.remove(k);
@@ -583,21 +543,19 @@ impl Machine {
                     let pos = self.draining.partition_point(|&d| d < i);
                     self.draining.insert(pos, i);
                 }
-                if TRACED {
-                    if let Some(t) = self.trace.as_mut() {
-                        match self.nodes[i].cpu_state() {
-                            tcni_cpu::CpuState::Halted => {
-                                t.record(TraceEvent::Halted { cycle, node: i });
-                            }
-                            tcni_cpu::CpuState::Faulted { reason, .. } => {
-                                t.record(TraceEvent::Faulted {
-                                    cycle,
-                                    node: i,
-                                    reason: reason.clone(),
-                                });
-                            }
-                            tcni_cpu::CpuState::Running => {}
+                if let Some(t) = self.trace.as_mut() {
+                    match self.nodes[i].cpu_state() {
+                        tcni_cpu::CpuState::Halted => {
+                            t.record(TraceEvent::Halted { cycle, node: i });
                         }
+                        tcni_cpu::CpuState::Faulted { reason, .. } => {
+                            t.record(TraceEvent::Faulted {
+                                cycle,
+                                node: i,
+                                reason: reason.clone(),
+                            });
+                        }
+                        tcni_cpu::CpuState::Running => {}
                     }
                 }
             } else {
@@ -613,11 +571,12 @@ impl Machine {
     /// Rejections (busy slot, non-member) surface only through
     /// [`CollectiveStats`] — latches have no return channel.
     fn drain_coll_requests(&mut self) {
-        if !self.coll_poll {
+        let Some(coll) = self.collective.as_mut() else {
+            return;
+        };
+        if !std::mem::take(&mut self.coll_poll) {
             return;
         }
-        self.coll_poll = false;
-        let coll = self.collective.as_mut().expect("COLL implies engine");
         for (i, node) in self.nodes.iter_mut().enumerate() {
             while let Some((op, value)) = node.coll_take_request() {
                 if let Ok(Some(done)) = coll.contribute(i, op, value) {
@@ -630,9 +589,7 @@ impl Machine {
     /// Phases 2–4: interfaces → network, fabric tick, network → interfaces.
     /// Returns whether any interface state changed (a message left an output
     /// queue or entered an input queue).
-    fn step_network<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-    ) -> bool {
+    fn step_network(&mut self) -> bool {
         let cycle = self.cycle;
         let mut changed = false;
         // Phase 2: one injection attempt per node with outgoing traffic, in
@@ -645,30 +602,21 @@ impl Machine {
         // full scan, visiting only nodes that can possibly inject. Any node
         // outside every list is stopped with an empty interface and empty
         // outboxes, for which `inject_at` is a no-op.
-        if COLL {
-            self.drain_coll_requests();
-        }
-        if E2E {
-            // Fire due retransmission timeouts first so the copies contend
-            // for this cycle's injection slots.
-            if let Some(del) = self.delivery.as_mut() {
-                del.pump(cycle);
-            }
-        }
+        self.drain_coll_requests();
         let mut ob = std::mem::take(&mut self.outbox_scan);
         ob.clear();
-        if E2E {
-            if let Some(del) = self.delivery.as_ref() {
-                ob.extend(del.outbox_nodes().iter().map(|&n| n as usize));
-                // The active set is unordered (O(1) maintenance); the
-                // injection merge below needs ascending node order.
-                ob.sort_unstable();
-            }
+        if let Some(del) = self.delivery.as_mut() {
+            // Fire due retransmission timeouts first so the copies contend
+            // for this cycle's injection slots.
+            del.pump(cycle);
+            ob.extend(del.outbox_nodes().iter().map(|&n| n as usize));
+            // The active set is unordered (O(1) maintenance); the
+            // injection merge below needs ascending node order.
+            ob.sort_unstable();
         }
         let mut cob = std::mem::take(&mut self.coll_scan);
         cob.clear();
-        if COLL {
-            let coll = self.collective.as_ref().expect("COLL implies engine");
+        if let Some(coll) = self.collective.as_ref() {
             cob.extend(coll.outbox_nodes().iter().map(|&n| n as usize));
         }
         let (mut r, mut d, mut o, mut c) = (0, 0, 0, 0);
@@ -687,7 +635,7 @@ impl Machine {
             d += usize::from(self.draining.get(d) == Some(&i));
             o += usize::from(ob.get(o) == Some(&i));
             c += usize::from(cob.get(c) == Some(&i));
-            changed |= self.inject_at::<TRACED, OBS, E2E, COLL>(i, cycle);
+            changed |= self.inject_at(i, cycle);
         }
         self.outbox_scan = ob;
         self.coll_scan = cob;
@@ -704,65 +652,54 @@ impl Machine {
             for i in 0..self.nodes.len() {
                 let dst = NodeId::from_index(i);
                 while let Some(peeked) = self.net.peek_eject(dst).copied() {
-                    if E2E && peeked.e2e.is_some() {
+                    // Engine-bound: a collective message on a machine with
+                    // an engine never enters (or backpressures) the NI input
+                    // queue. Collective plumbing stays out of the trace/obs
+                    // streams (it models NI hardware, not program traffic).
+                    let coll_bound =
+                        peeked.mtype == MsgType::COLLECTIVE && self.collective.is_some();
+                    if let (Some(del), Some(_)) = (self.delivery.as_mut(), peeked.e2e) {
                         // A protocol-controlled arrival: the delivery layer
                         // decides its fate before the interface sees it.
-                        let del = self.delivery.as_ref().expect("E2E implies delivery");
                         match del.rx_action(i, &peeked) {
-                            RxAction::Deliver if COLL && peeked.mtype == MsgType::COLLECTIVE => {
+                            RxAction::Deliver if coll_bound => {
                                 // An in-order collective arrival rides the
-                                // protocol's exactly-once edge but lands in
-                                // the engine, not the NI input queue — the
-                                // engine always accepts, so no backpressure
-                                // check. Collective plumbing stays out of
-                                // the trace/obs streams (it models NI
-                                // hardware, not program traffic).
+                                // protocol's exactly-once edge into the
+                                // engine, which always accepts.
                                 let mut msg = self.net.eject(dst).expect("peeked");
-                                if let Some(del) = self.delivery.as_mut() {
-                                    del.on_delivered(i, &msg, cycle);
-                                }
+                                del.on_delivered(i, &msg, cycle);
                                 msg.e2e = None;
                                 self.coll_arrival(i, &msg);
-                                changed = true;
                             }
                             RxAction::Deliver => {
                                 if !self.nodes[i].ni().can_accept(&peeked) {
                                     break; // backpressure: leave it in the network
                                 }
                                 let mut msg = self.net.eject(dst).expect("peeked");
-                                if let Some(del) = self.delivery.as_mut() {
-                                    del.on_delivered(i, &msg, cycle);
-                                }
-                                if TRACED {
-                                    if let Some(t) = self.trace.as_mut() {
-                                        t.record(TraceEvent::Delivered {
-                                            cycle: cycle + 1,
-                                            node: i,
-                                            msg,
-                                        });
-                                    }
+                                del.on_delivered(i, &msg, cycle);
+                                if let Some(t) = self.trace.as_mut() {
+                                    t.record(TraceEvent::Delivered {
+                                        cycle: cycle + 1,
+                                        node: i,
+                                        msg,
+                                    });
                                 }
                                 // The header is sideband plumbing; the
                                 // interface receives the architected message.
                                 msg.e2e = None;
-                                self.deliver_to_ni::<OBS>(i, msg, cycle);
-                                changed = true;
+                                self.deliver_to_ni(i, msg, cycle);
                             }
                             RxAction::Consume => {
                                 // Ack, duplicate, gap, or corruption: eaten
                                 // by the protocol, never enters the interface.
                                 let msg = self.net.eject(dst).expect("peeked");
-                                if let Some(del) = self.delivery.as_mut() {
-                                    del.on_consumed(i, &msg, cycle);
-                                }
-                                changed = true;
+                                del.on_consumed(i, &msg, cycle);
                             }
                         }
+                        changed = true;
                         continue;
                     }
-                    if COLL && peeked.mtype == MsgType::COLLECTIVE {
-                        // Engine-bound: never enters (or backpressures) the
-                        // NI input queue.
+                    if coll_bound {
                         let msg = self.net.eject(dst).expect("peeked");
                         self.coll_arrival(i, &msg);
                         changed = true;
@@ -772,19 +709,17 @@ impl Machine {
                         break; // backpressure: leave it in the network
                     }
                     let msg = self.net.eject(dst).expect("peeked");
-                    if TRACED {
-                        // Stamped cycle+1: the first cycle the receiving CPU
-                        // can observe the message, so Delivered − Sent equals
-                        // the fabric-accounted latency (see `TraceEvent`).
-                        if let Some(t) = self.trace.as_mut() {
-                            t.record(TraceEvent::Delivered {
-                                cycle: cycle + 1,
-                                node: i,
-                                msg,
-                            });
-                        }
+                    // Stamped cycle+1: the first cycle the receiving CPU can
+                    // observe the message, so Delivered − Sent equals the
+                    // fabric-accounted latency (see `TraceEvent`).
+                    if let Some(t) = self.trace.as_mut() {
+                        t.record(TraceEvent::Delivered {
+                            cycle: cycle + 1,
+                            node: i,
+                            msg,
+                        });
                     }
-                    self.deliver_to_ni::<OBS>(i, msg, cycle);
+                    self.deliver_to_ni(i, msg, cycle);
                     changed = true;
                 }
             }
@@ -792,11 +727,11 @@ impl Machine {
         changed
     }
 
-    /// Phase-4 tail for collective messages: routes an ejected arrival into
-    /// the engine and posts any completed round to the node's mailbox.
+    /// Phase-4 tail for engine-bound messages: routes an ejected arrival
+    /// into the collective engine and posts any completed round to the
+    /// node's mailbox.
     fn coll_arrival(&mut self, i: usize, msg: &Message) {
-        let coll = self.collective.as_mut().expect("COLL implies engine");
-        if let Some(done) = coll.on_message(i, msg) {
+        if let Some(done) = self.collective.as_mut().and_then(|c| c.on_message(i, msg)) {
             self.nodes[i].coll_push_done(done);
         }
     }
@@ -804,21 +739,15 @@ impl Machine {
     /// Phase-4 tail: moves an ejected message into node `i`'s interface
     /// (`can_accept` already checked) and mirrors the input depth for
     /// observability.
-    fn deliver_to_ni<const OBS: bool>(&mut self, i: usize, msg: tcni_core::Message, cycle: u64) {
+    fn deliver_to_ni(&mut self, i: usize, msg: Message, cycle: u64) {
         let ni = self.nodes[i].ni_mut();
-        let depth_before = if OBS {
-            ni.input_len() + usize::from(ni.msg_valid())
-        } else {
-            0
-        };
+        let depth_before = ni.input_len() + usize::from(ni.msg_valid());
         ni.push_incoming(msg).expect("can_accept checked");
-        if OBS {
+        if let Some(o) = self.obs.as_mut() {
+            // An unchanged input depth means the interface diverted the
+            // message to the privileged queue.
             let depth_after = ni.input_len() + usize::from(ni.msg_valid());
-            if let Some(o) = self.obs.as_mut() {
-                // An unchanged input depth means the interface diverted the
-                // message to the privileged queue.
-                o.on_deliver(i, msg.seq, cycle + 1, depth_after == depth_before);
-            }
+            o.on_deliver(i, msg.seq, cycle + 1, depth_after == depth_before);
         }
     }
 
@@ -827,86 +756,51 @@ impl Machine {
     /// messages, which take it ahead of fresh NI sends; fresh sends under
     /// the protocol are stamped, window-gated, and buffered for
     /// retransmission. Returns whether anything changed.
-    fn inject_at<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        i: usize,
-        cycle: u64,
-    ) -> bool {
+    fn inject_at(&mut self, i: usize, cycle: u64) -> bool {
         let src = NodeId::from_index(i);
-        if E2E {
-            let del = self.delivery.as_ref().expect("E2E implies delivery");
-            if let Some(msg) = del.outbox_front(i).copied() {
+        if let Some(del) = self.delivery.as_mut() {
+            if let Some(&msg) = del.outbox_front(i) {
                 return match self.net.inject(src, msg) {
-                    Ok(()) => {
-                        if let Some(del) = self.delivery.as_mut() {
-                            del.outbox_pop(i);
-                        }
-                        true
-                    }
                     // Congestion: the copy stays queued and retries.
                     Err(InjectError::Refused(_)) => false,
-                    // Unreachable by construction (protocol peers are real
-                    // nodes, fabrics never report membership), but never
-                    // wedge the outbox on a bad message.
-                    Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
-                        if let Some(del) = self.delivery.as_mut() {
-                            del.outbox_pop(i);
-                        }
+                    // A bad destination is unreachable by construction
+                    // (protocol peers are real nodes, fabrics never report
+                    // membership), but never wedge the outbox on it.
+                    Ok(()) | Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
+                        del.outbox_pop(i);
                         true
                     }
                 };
             }
         }
-        if COLL {
-            let coll = self.collective.as_ref().expect("COLL implies engine");
-            if let Some(msg) = coll.outbox_front(i).copied() {
-                return self.inject_coll::<E2E>(i, src, msg, cycle);
-            }
+        if let Some(&msg) = self.collective.as_ref().and_then(|c| c.outbox_front(i)) {
+            return self.inject_coll(i, src, msg, cycle);
         }
         let ni = self.nodes[i].ni_mut();
         let Some(mut msg) = ni.peek_outgoing().copied() else {
             return false;
         };
-        if OBS {
+        if let Some(o) = self.obs.as_ref() {
             // Stamp the would-be sequence number; it is committed only if
             // the fabric accepts the injection.
-            if let Some(o) = self.obs.as_ref() {
-                msg.seq = o.peek_seq();
-            }
+            msg.seq = o.peek_seq();
         }
-        if E2E && msg.dest().index() < self.net.node_count() {
-            let dst = msg.dest().index();
-            let del = self.delivery.as_ref().expect("E2E implies delivery");
-            if !del.can_admit(i, dst) {
-                // Window full: back-pressure into the output queue exactly
-                // like a refused injection.
-                return false;
-            }
-            // Pure stamp: a refused injection retries with the same psn.
-            del.stamp(i, dst, &mut msg);
+        if !self.gate_and_stamp(i, &mut msg) {
+            return false;
         }
         match self.net.inject(src, msg) {
             Ok(()) => {
                 self.nodes[i].ni_mut().pop_outgoing();
-                if E2E && msg.e2e.is_some() {
-                    let dst = msg.dest().index();
-                    if let Some(del) = self.delivery.as_mut() {
-                        del.commit(i, dst, msg, cycle);
-                    }
+                self.commit_e2e(i, msg, cycle);
+                if let Some(o) = self.obs.as_mut() {
+                    o.on_inject(i, msg.seq, cycle);
                 }
-                if OBS {
-                    if let Some(o) = self.obs.as_mut() {
-                        o.on_inject(i, msg.seq, cycle);
-                    }
-                }
-                if TRACED {
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record(TraceEvent::Sent {
-                            cycle,
-                            node: i,
-                            msg,
-                        });
-                    }
+                if let Some(t) = self.trace.as_mut() {
+                    t.record(TraceEvent::Sent {
+                        cycle,
+                        node: i,
+                        msg,
+                    });
                 }
                 true
             }
@@ -914,9 +808,37 @@ impl Machine {
             // cycle (backpressure, §2.1.1).
             Err(InjectError::Refused(_)) => false,
             Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
-                self.drop_bad_dest::<OBS>(i);
+                self.drop_bad_dest(i);
                 true
             }
+        }
+    }
+
+    /// Under the delivery protocol, window-gates a fresh send from node `i`
+    /// and stamps its header. Returns `false` when the flow's window is
+    /// full: the message stays queued and retries, exactly like a refused
+    /// injection. The stamp is pure, so a refused injection retries with
+    /// the same psn. Messages to a destination outside the fabric pass
+    /// unstamped (they fail injection as a bad destination).
+    fn gate_and_stamp(&self, i: usize, msg: &mut Message) -> bool {
+        let Some(del) = self.delivery.as_ref() else {
+            return true;
+        };
+        let dst = msg.dest().index();
+        if dst >= self.net.node_count() {
+            return true;
+        }
+        if !del.can_admit(i, dst) {
+            return false;
+        }
+        del.stamp(i, dst, msg);
+        true
+    }
+
+    /// Buffers an injected, stamped message for retransmission.
+    fn commit_e2e(&mut self, i: usize, msg: Message, cycle: u64) {
+        if let (Some(del), Some(_)) = (self.delivery.as_mut(), msg.e2e) {
+            del.commit(i, msg.dest().index(), msg, cycle);
         }
     }
 
@@ -926,12 +848,10 @@ impl Machine {
     /// common path tight.
     #[cold]
     #[inline(never)]
-    fn drop_bad_dest<const OBS: bool>(&mut self, node: usize) {
+    fn drop_bad_dest(&mut self, node: usize) {
         self.nodes[node].ni_mut().pop_outgoing();
-        if OBS {
-            if let Some(o) = self.obs.as_mut() {
-                o.on_bad_dest(node);
-            }
+        if let Some(o) = self.obs.as_mut() {
+            o.on_bad_dest(node);
         }
     }
 
@@ -939,43 +859,28 @@ impl Machine {
     /// fresh NI send (window-gated and stamped under the delivery protocol,
     /// so combining trees ride the go-back-N edges over faulty fabrics) but
     /// invisible to trace/obs — it models NI hardware, not program traffic.
-    fn inject_coll<const E2E: bool>(
-        &mut self,
-        i: usize,
-        src: NodeId,
-        mut msg: Message,
-        cycle: u64,
-    ) -> bool {
-        if E2E {
-            // Tree edges connect real nodes, so the destination always
-            // indexes a delivery flow.
-            let dst = msg.dest().index();
-            let del = self.delivery.as_ref().expect("E2E implies delivery");
-            if !del.can_admit(i, dst) {
-                // Window full: the message stays queued and retries.
-                return false;
-            }
-            del.stamp(i, dst, &mut msg);
+    fn inject_coll(&mut self, i: usize, src: NodeId, mut msg: Message, cycle: u64) -> bool {
+        // Tree edges connect real nodes, so the destination always indexes
+        // a delivery flow.
+        if !self.gate_and_stamp(i, &mut msg) {
+            return false;
         }
         match self.net.inject(src, msg) {
-            Ok(()) => {
-                let coll = self.collective.as_mut().expect("COLL implies engine");
-                coll.outbox_pop(i);
-                if E2E && msg.e2e.is_some() {
-                    let dst = msg.dest().index();
-                    if let Some(del) = self.delivery.as_mut() {
-                        del.commit(i, dst, msg, cycle);
-                    }
-                }
-                true
-            }
             // Congestion: retries next cycle.
             Err(InjectError::Refused(_)) => false,
+            Ok(()) => {
+                if let Some(coll) = self.collective.as_mut() {
+                    coll.outbox_pop(i);
+                }
+                self.commit_e2e(i, msg, cycle);
+                true
+            }
             // Unreachable by construction (tree members are real nodes),
             // but never wedge the outbox.
             Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
-                let coll = self.collective.as_mut().expect("COLL implies engine");
-                coll.outbox_pop(i);
+                if let Some(coll) = self.collective.as_mut() {
+                    coll.outbox_pop(i);
+                }
                 true
             }
         }
@@ -1000,16 +905,13 @@ impl Machine {
     /// accounting: run network-only cycles — or jump, when the fabric can
     /// predict its next arrival — and bulk-charge the stall cycles at the
     /// end.
-    fn fast_forward<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        limit: u64,
-    ) {
+    fn fast_forward(&mut self, limit: u64) {
         let mut skipped: u64 = 0;
         while self.cycle < limit {
             // The delivery protocol runs timers (retransmission timeouts)
             // that must observe every cycle; while it has work in flight,
             // only the step-by-step path below is correct.
-            let protocol_busy = E2E && self.delivery.as_ref().is_some_and(Delivery::active);
+            let protocol_busy = self.delivery.as_ref().is_some_and(Delivery::active);
             if !protocol_busy && !self.any_outgoing() {
                 if self.net.in_flight() == 0 {
                     // Nothing in flight and nothing to send: every stalled
@@ -1033,7 +935,7 @@ impl Machine {
                     }
                 }
             }
-            let changed = self.step_network::<TRACED, OBS, E2E, COLL>();
+            let changed = self.step_network();
             self.cycle += 1;
             skipped += 1;
             if changed {
@@ -1061,69 +963,6 @@ impl Machine {
         if self.lists_dirty {
             self.refresh_lists();
         }
-        dispatch!(self, run_impl(max_cycles))
-    }
-
-    /// Runs with a [`CycleDriver`] supplying the per-cycle stimulus: each
-    /// cycle, the driver acts first (in the position of the processor phase),
-    /// then any still-running processors step, then the normal network phases
-    /// run. Returns when the driver asks to stop or `max_cycles` elapse.
-    ///
-    /// Unlike [`run`](Machine::run), a driven machine never fast-forwards —
-    /// the driver is assumed to have work every cycle — and does not stop
-    /// just because every processor halted: load generators run entirely on
-    /// machines whose CPUs halt at cycle 0.
-    pub fn run_driven<D: CycleDriver>(&mut self, driver: &mut D, max_cycles: u64) -> RunOutcome {
-        dispatch!(self, run_driven_impl::<D>(driver, max_cycles))
-    }
-
-    fn run_driven_impl<
-        const TRACED: bool,
-        const OBS: bool,
-        const E2E: bool,
-        const COLL: bool,
-        D: CycleDriver,
-    >(
-        &mut self,
-        driver: &mut D,
-        max_cycles: u64,
-    ) -> RunOutcome {
-        let limit = self.cycle.saturating_add(max_cycles);
-        while self.cycle < limit {
-            let go_on = driver.on_cycle(self.cycle, &mut self.nodes);
-            // The driver may have queued messages on (or stopped draining)
-            // any node, including stopped ones.
-            self.refresh_lists();
-            let cycle = self.cycle;
-            self.step_cpus::<TRACED, OBS>();
-            if OBS {
-                // The driver's interface operations bypass `step_cpus`'s
-                // per-node depth mirroring (it only visits running nodes);
-                // re-mirror every node so enqueues and dispatches performed
-                // by the driver are stamped. Nodes already mirrored this
-                // cycle see unchanged depths — a no-op.
-                for i in 0..self.nodes.len() {
-                    let ni = self.nodes[i].ni();
-                    let out_len = ni.output_len();
-                    let in_depth = ni.input_len() + usize::from(ni.msg_valid());
-                    if let Some(o) = self.obs.as_mut() {
-                        o.after_cpu_node(i, out_len, in_depth, cycle);
-                    }
-                }
-            }
-            self.step_network::<TRACED, OBS, E2E, COLL>();
-            self.cycle += 1;
-            if !go_on {
-                return RunOutcome::DriverStopped;
-            }
-        }
-        RunOutcome::CycleLimit
-    }
-
-    fn run_impl<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        max_cycles: u64,
-    ) -> RunOutcome {
         let limit = self.cycle.saturating_add(max_cycles);
         while self.cycle < limit {
             if self.running.is_empty() {
@@ -1139,21 +978,21 @@ impl Machine {
                 // slots with no queued or in-flight messages cannot
                 // progress without new contributions, so they fall through
                 // to `StoppedWithTraffic` rather than spinning forever.
-                if (E2E || COLL)
+                if (self.delivery.is_some() || self.collective.is_some())
                     && (self.net.in_flight() > 0
                         || !self.draining.is_empty()
                         || self.delivery.as_ref().is_some_and(Delivery::active)
                         || self.collective.as_ref().is_some_and(|c| c.outgoing() > 0))
                 {
-                    self.step_network::<TRACED, OBS, E2E, COLL>();
+                    self.step_network();
                     self.cycle += 1;
                     continue;
                 }
                 return RunOutcome::StoppedWithTraffic;
             }
-            let (all_stalled, changed) = self.step_once::<TRACED, OBS, E2E, COLL>();
+            let (all_stalled, changed) = self.step_once();
             if self.skip_ahead && all_stalled && !changed && !self.running.is_empty() {
-                self.fast_forward::<TRACED, OBS, E2E, COLL>(limit);
+                self.fast_forward(limit);
             }
         }
         if self.is_quiescent() {
@@ -1161,6 +1000,45 @@ impl Machine {
         } else {
             RunOutcome::CycleLimit
         }
+    }
+
+    /// Runs with a [`CycleDriver`] supplying the per-cycle stimulus: each
+    /// cycle, the driver acts first (in the position of the processor phase),
+    /// then any still-running processors step, then the normal network phases
+    /// run. Returns when the driver asks to stop or `max_cycles` elapse.
+    ///
+    /// Unlike [`run`](Machine::run), a driven machine never fast-forwards —
+    /// the driver is assumed to have work every cycle — and does not stop
+    /// just because every processor halted: load generators run entirely on
+    /// machines whose CPUs halt at cycle 0.
+    pub fn run_driven<D: CycleDriver>(&mut self, driver: &mut D, max_cycles: u64) -> RunOutcome {
+        let limit = self.cycle.saturating_add(max_cycles);
+        while self.cycle < limit {
+            let go_on = driver.on_cycle(self.cycle, &mut self.nodes);
+            // The driver may have queued messages on (or stopped draining)
+            // any node, including stopped ones.
+            self.refresh_lists();
+            let cycle = self.cycle;
+            self.step_cpus();
+            if let Some(o) = self.obs.as_mut() {
+                // The driver's interface operations bypass `step_cpus`'s
+                // per-node depth mirroring (it only visits running nodes);
+                // re-mirror every node so enqueues and dispatches performed
+                // by the driver are stamped. Nodes already mirrored this
+                // cycle see unchanged depths — a no-op.
+                for (i, node) in self.nodes.iter().enumerate() {
+                    let ni = node.ni();
+                    let in_depth = ni.input_len() + usize::from(ni.msg_valid());
+                    o.after_cpu_node(i, ni.output_len(), in_depth, cycle);
+                }
+            }
+            self.step_network();
+            self.cycle += 1;
+            if !go_on {
+                return RunOutcome::DriverStopped;
+            }
+        }
+        RunOutcome::CycleLimit
     }
 }
 

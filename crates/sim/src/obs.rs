@@ -18,10 +18,11 @@
 //! [`TraceEvent`](crate::TraceEvent): `delivered - injected` equals the
 //! fabric-accounted latency in `NetStats::total_latency`.
 //!
-//! Like tracing, the layer is compiled out of the stepping loop when
-//! disabled (a `const OBS: bool` monomorphization parameter), costs no
-//! allocation per message in the steady state beyond the bounded span ring,
-//! and is bit-identical under the quiescence fast-forward.
+//! Like tracing, each of the layer's hooks in the stepping loop is one check
+//! of the machine's `Option<Obs>`, skipped when observability is disabled.
+//! It costs no allocation per message in the steady state beyond the
+//! bounded span ring, changes no simulated result, and is bit-identical
+//! under the quiescence fast-forward.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;

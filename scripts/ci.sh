@@ -13,6 +13,13 @@ if [[ "${1:-}" == "--soak" ]]; then
     export TCNI_CHECK_CASES=2560
 fi
 
+# Every JSON artifact is checked by parsing it, not only by grep.
+json_ok() {
+    for f in "$@"; do
+        python3 -m json.tool "$f" > /dev/null
+    done
+}
+
 echo "== rustfmt =="
 cargo fmt --check
 
@@ -24,6 +31,12 @@ cargo clippy --workspace --release --offline -- -D warnings
 
 echo "== tests (offline, all crates) =="
 cargo test --workspace --release --offline -q
+
+echo "== tests (debug profile: net and sim debug_assert! invariants) =="
+# The release run above compiles the debug_assert! invariants out (fabric
+# frontier bits, NodeFlows slot/remove checks, delivery flow_peek checks);
+# the net and sim crates' own tests run them here.
+cargo test --offline -q -p tcni-net -p tcni-sim
 
 echo "== golden artifacts (byte-exact paper outputs, hot-set scheduler on) =="
 # The hot-set scheduler is the default path; these artifacts were blessed
@@ -38,6 +51,7 @@ echo "== smoke: netstats (tcni-trace/1 artifact) =="
 cargo run --release --offline -p tcni-bench --bin netstats -- \
     --width 2 --height 2 --msgs 4 --quiet --out target/TRACE_netstats.ci.json
 grep -q '"schema": "tcni-trace/1"' target/TRACE_netstats.ci.json
+json_ok target/TRACE_netstats.ci.json
 
 echo "== smoke: loadgen (tcni-load/1 artifact) =="
 cargo run --release --offline -p tcni-bench --bin loadgen -- \
@@ -45,6 +59,7 @@ cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --rates 100,400 --windows none --warmup 500 --measure 1500 --quiet \
     --out target/BENCH_loadgen.ci.json
 grep -q '"schema": "tcni-load/1"' target/BENCH_loadgen.ci.json
+json_ok target/BENCH_loadgen.ci.json
 
 echo "== smoke: loadgen fault sweep (delivery protocol on) =="
 cargo run --release --offline -p tcni-bench --bin loadgen -- \
@@ -52,6 +67,7 @@ cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --rates 100,400 --windows none --fault-rates 0,50 --warmup 500 \
     --measure 1500 --quiet --out target/BENCH_loadgen_faults.ci.json
 grep -q '"schema": "tcni-load/1"' target/BENCH_loadgen_faults.ci.json
+json_ok target/BENCH_loadgen_faults.ci.json
 grep -q '"fault_rates_pm": \[0, 50\]' target/BENCH_loadgen_faults.ci.json
 grep -q '"goodput_pm": ' target/BENCH_loadgen_faults.ci.json
 
@@ -68,6 +84,7 @@ run_16x16() {
 run_16x16 1 target/BENCH_loadgen_16x16.serial.json
 run_16x16 4 target/BENCH_loadgen_16x16.par4.json
 cmp target/BENCH_loadgen_16x16.serial.json target/BENCH_loadgen_16x16.par4.json
+json_ok target/BENCH_loadgen_16x16.serial.json target/BENCH_loadgen_16x16.par4.json
 
 echo "== smoke: topology axis (torus TCNI_THREADS=4 run, ring/full schema, torus collective) =="
 # `--topology` pins the sweep to one switched fabric. The torus 16×16 point
@@ -83,22 +100,26 @@ run_torus_16x16() {
 run_torus_16x16 1 target/BENCH_loadgen_torus.serial.json
 run_torus_16x16 4 target/BENCH_loadgen_torus.par4.json
 cmp target/BENCH_loadgen_torus.serial.json target/BENCH_loadgen_torus.par4.json
+json_ok target/BENCH_loadgen_torus.serial.json target/BENCH_loadgen_torus.par4.json
 grep -q '"fabric": "torus"' target/BENCH_loadgen_torus.serial.json
 cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --width 4 --height 4 --models opt-reg --topology ring --patterns uniform \
     --rates 100 --windows none --warmup 500 --measure 1500 --quiet \
     --out target/BENCH_loadgen_ring.ci.json
 grep -q '"fabric": "ring"' target/BENCH_loadgen_ring.ci.json
+json_ok target/BENCH_loadgen_ring.ci.json
 cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --width 4 --height 4 --models opt-reg --topology full --patterns uniform \
     --rates 100 --windows none --warmup 500 --measure 1500 --quiet \
     --out target/BENCH_loadgen_full.ci.json
 grep -q '"fabric": "full"' target/BENCH_loadgen_full.ci.json
+json_ok target/BENCH_loadgen_full.ci.json
 cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --collective --topology torus --width 8 --height 8 --ops barrier,sum \
     --rounds 4 --fault 25 --quiet --out target/BENCH_collective_torus.ci.json
 grep -q '"fabric": "torus"' target/BENCH_collective_torus.ci.json
 grep -q '"wrong_results": 0' target/BENCH_collective_torus.ci.json
+json_ok target/BENCH_collective_torus.ci.json
 
 echo "== smoke: wide-format 64x64 sweep (TCNI_THREADS=4) matches the committed snapshot =="
 # 4096 nodes sits past the compact format's 256-node ceiling, so this run
@@ -115,6 +136,7 @@ run_64x64 1 target/BENCH_loadgen_64x64.serial.json
 run_64x64 4 target/BENCH_loadgen_64x64.par4.json
 cmp tests/golden/loadgen_64x64.json target/BENCH_loadgen_64x64.serial.json
 cmp tests/golden/loadgen_64x64.json target/BENCH_loadgen_64x64.par4.json
+json_ok target/BENCH_loadgen_64x64.serial.json target/BENCH_loadgen_64x64.par4.json
 
 echo "== smoke: delivery-enabled 64x64 sweep (sparse flow store, TCNI_THREADS=4) matches serial =="
 # 4096 nodes with the end-to-end delivery protocol on: the old dense flow
@@ -131,6 +153,7 @@ run_64x64_e2e 1 target/BENCH_loadgen_64x64_e2e.serial.json
 run_64x64_e2e 4 target/BENCH_loadgen_64x64_e2e.par4.json
 cmp target/BENCH_loadgen_64x64_e2e.serial.json target/BENCH_loadgen_64x64_e2e.par4.json
 grep -q '"goodput_pm": ' target/BENCH_loadgen_64x64_e2e.serial.json
+json_ok target/BENCH_loadgen_64x64_e2e.serial.json target/BENCH_loadgen_64x64_e2e.par4.json
 
 echo "== smoke: tcni-trace/1 export unchanged under TCNI_THREADS=4 =="
 # The instrumented 16×16 export must not move at all when the env var asks
@@ -142,6 +165,7 @@ run_netstats_16x16() {
 run_netstats_16x16 1 target/TRACE_netstats_16x16.serial.json
 run_netstats_16x16 4 target/TRACE_netstats_16x16.par4.json
 cmp target/TRACE_netstats_16x16.serial.json target/TRACE_netstats_16x16.par4.json
+json_ok target/TRACE_netstats_16x16.serial.json target/TRACE_netstats_16x16.par4.json
 
 echo "== smoke: loadgen collective (tcni-coll/1 artifact) =="
 # NIC combining vs software gather/scatter on a small mesh, fault-free and
@@ -152,11 +176,13 @@ cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --quiet --out target/BENCH_collective.ci.json
 grep -q '"schema": "tcni-coll/1"' target/BENCH_collective.ci.json
 grep -q '"wrong_results": 0' target/BENCH_collective.ci.json
+json_ok target/BENCH_collective.ci.json
 cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --collective --width 4 --height 4 --ops min --rounds 4 --fault 25 \
     --quiet --out target/BENCH_collective_faults.ci.json
 grep -q '"fault_pm": 25' target/BENCH_collective_faults.ci.json
 grep -q '"wrong_results": 0' target/BENCH_collective_faults.ci.json
+json_ok target/BENCH_collective_faults.ci.json
 
 echo "== smoke: collective 16x16 export (TCNI_THREADS=4) matches serial =="
 # The tcni-coll/1 export of a 16×16 storm must not depend on
@@ -169,6 +195,7 @@ run_coll_16x16() {
 run_coll_16x16 1 target/BENCH_collective_16x16.serial.json
 run_coll_16x16 4 target/BENCH_collective_16x16.par4.json
 cmp target/BENCH_collective_16x16.serial.json target/BENCH_collective_16x16.par4.json
+json_ok target/BENCH_collective_16x16.serial.json target/BENCH_collective_16x16.par4.json
 
 echo "== golden artifacts under TCNI_THREADS=4 (byte-exact, unblessed) =="
 # Includes the collective_16x16 tcni-coll/1 golden, so the committed
@@ -178,6 +205,7 @@ TCNI_THREADS=4 cargo test --release --offline -q --test golden_artifacts
 echo "== smoke: perf harness (quick) =="
 TCNI_BENCH_OUT=target/BENCH_simulator.ci.json \
     cargo run --release --offline -p tcni-bench --bin perf -- --quick
+json_ok target/BENCH_simulator.ci.json
 
 echo "== smoke: hot-set scheduler skips work on the large-mesh point =="
 # The 16x16 low-load measurement must report a nonzero skipped_work counter:
